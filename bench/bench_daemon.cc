@@ -3,7 +3,8 @@
 // shared worker pool at 1 / 8 / 64 concurrent requests. Traffic is the
 // micro corpus with a small query budget, so an iteration measures the
 // daemon's multiplexing overhead plus real (virtual-time) repair work,
-// not image rendering.
+// not image rendering: the daemon renders the micro world once, on the
+// first request, and every later request repairs a copy of it.
 
 #include <benchmark/benchmark.h>
 

@@ -64,7 +64,9 @@ struct IncrementalMupOptions {
 /// The index owns its schema (shared, immutable) and its PatternCounter,
 /// so it is copyable: the serving layer clones one warm base-corpus index
 /// per request instead of re-traversing the lattice (DESIGN.md §14).
-/// Not thread-safe; confine an instance to one request/thread.
+/// Const access, copying included, may run concurrently (the daemon's
+/// shared base-world index is only ever read); confine mutation of an
+/// instance to one request/thread.
 class IncrementalMupIndex {
  public:
   /// An index over the empty dataset (the root pattern is the single MUP

@@ -20,6 +20,7 @@
 #include "gtest/gtest.h"
 #include "src/core/chameleon.h"
 #include "src/datasets/feret.h"
+#include "src/datasets/utkface.h"
 #include "src/embedding/simulated_embedder.h"
 #include "src/fm/evaluator_pool.h"
 #include "src/fm/flaky_foundation_model.h"
@@ -28,6 +29,7 @@
 #include "src/obs/observability.h"
 #include "src/obs/trace.h"
 #include "src/util/status.h"
+#include "tools/chameleond/build_once.h"
 #include "tools/chameleond/daemon.h"
 #include "tools/obsctl/analysis.h"
 #include "tools/chameleond/frame.h"
@@ -166,16 +168,51 @@ class FlakyTransport : public Transport {
   std::atomic<int64_t> reads_{0};
 };
 
-/// Runs the identical micro repair directly against core::Chameleon —
-/// the reference digest every daemon-served clean run must match.
+/// The dataset a spec names, built cold: corpus plus simulator hooks,
+/// constructed exactly as chameleond builds its base worlds.
+struct DirectWorld {
+  fm::Corpus corpus;
+  fm::FaceStyleFn style = datasets::FeretFaceStyleFn();
+  image::SceneStyle scene = datasets::FeretScene();
+};
+
+util::Result<DirectWorld> BuildDirectWorld(
+    DatasetKind kind, const embedding::Embedder* embedder) {
+  DirectWorld world;
+  util::Result<fm::Corpus> corpus = util::Status::Internal("unbuilt");
+  switch (kind) {
+    case DatasetKind::kMicro:
+      corpus = MakeMicroCorpus(embedder);
+      break;
+    case DatasetKind::kFeret:
+      corpus = datasets::MakeFeret(embedder, datasets::FeretOptions());
+      break;
+    case DatasetKind::kUtkFace: {
+      datasets::ChallengeOptions options;
+      options.render.image_size = 32;
+      corpus = datasets::MakeUtkFaceChallengeSubset(embedder, options);
+      world.style = datasets::UtkFaceStyleFn();
+      world.scene = datasets::UtkFaceScene();
+      break;
+    }
+  }
+  if (!corpus.ok()) return corpus.status();
+  world.corpus = *std::move(corpus);
+  return world;
+}
+
+/// Runs the identical repair directly against core::Chameleon on a
+/// freshly built corpus of the spec's dataset (micro by default) — the
+/// cold reference digest every daemon-served clean run must match.
 std::string DirectMicroDigest(const RepairRequestSpec& spec) {
   embedding::SimulatedEmbedder embedder;
   fm::EvaluatorPool evaluators(2024);
-  auto corpus = MakeMicroCorpus(&embedder);
-  EXPECT_TRUE(corpus.ok()) << corpus.status().ToString();
-  fm::SimulatedFoundationModel sim(
-      corpus->dataset.schema(), datasets::FeretFaceStyleFn(),
-      datasets::FeretScene(), fm::SimulatedFoundationModel::Options());
+  auto world = BuildDirectWorld(spec.dataset, &embedder);
+  EXPECT_TRUE(world.ok()) << world.status().ToString();
+  if (!world.ok()) return "";
+  fm::SimulatedFoundationModel sim(world->corpus.dataset.schema(),
+                                   world->style, world->scene,
+                                   fm::SimulatedFoundationModel::Options());
   fm::ResilientFoundationModel resilient(&sim, spec.resilience);
   core::ChameleonOptions options;
   options.tau = spec.tau;
@@ -184,7 +221,7 @@ std::string DirectMicroDigest(const RepairRequestSpec& spec) {
   options.rejection_batch = spec.rejection_batch;
   options.num_threads = spec.num_threads;
   core::Chameleon system(&resilient, &embedder, &evaluators, options);
-  auto report = system.RepairMinLevelMups(&*corpus);
+  auto report = system.RepairMinLevelMups(&world->corpus);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return report.ok() ? ReportDigest(*report) : "";
 }
@@ -709,6 +746,157 @@ TEST(DaemonTest, ResumedDaemonRebuildsIncrementalIndexFromScratch) {
   EXPECT_EQ(stats.resumed, 1);
   EXPECT_EQ(stats.index_warm_hits, 0);
   EXPECT_EQ(stats.index_warm_misses, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Shared base worlds: one immutable world per dataset kind (DESIGN.md §13)
+// ---------------------------------------------------------------------------
+
+TEST(BuildOnceMapTest, FailedBuildIsNotCachedAndSuccessIsShared) {
+  BuildOnceMap<int, int> map;
+  bool built = false;
+  auto failed = map.GetOrBuild(
+      1,
+      []() -> util::Result<std::shared_ptr<const int>> {
+        return util::Status::Internal("build failed");
+      },
+      &built);
+  EXPECT_TRUE(built);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), util::StatusCode::kInternal);
+
+  // The failure was not cached: the next call builds again.
+  auto value = map.GetOrBuild(
+      1,
+      []() -> util::Result<std::shared_ptr<const int>> {
+        return std::shared_ptr<const int>(std::make_shared<int>(7));
+      },
+      &built);
+  EXPECT_TRUE(built);
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(**value, 7);
+
+  auto again = map.GetOrBuild(
+      1,
+      []() -> util::Result<std::shared_ptr<const int>> {
+        ADD_FAILURE() << "a cached key must not be rebuilt";
+        return util::Status::Internal("rebuilt");
+      },
+      &built);
+  EXPECT_FALSE(built);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), value->get());
+}
+
+TEST(BuildOnceMapTest, ConcurrentCallersWaitOnOneBuildAndShareItsStatus) {
+  for (const bool succeed : {true, false}) {
+    BuildOnceMap<int, int> map;
+    std::atomic<int> builds{0};
+    const auto build = [&]() -> util::Result<std::shared_ptr<const int>> {
+      ++builds;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (!succeed) return util::Status::Unavailable("backend down");
+      return std::shared_ptr<const int>(std::make_shared<int>(42));
+    };
+    constexpr int kCallers = 8;
+    std::vector<util::Result<std::shared_ptr<const int>>> results(
+        kCallers, util::Status::Internal("not run"));
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i) {
+      callers.emplace_back([&, i] {
+        bool built = false;
+        results[i] = map.GetOrBuild(0, build, &built);
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (const auto& result : results) {
+      if (succeed) {
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result->get(), results[0]->get());
+      } else {
+        EXPECT_EQ(result.status().code(), util::StatusCode::kUnavailable);
+      }
+    }
+    // A success is built once; a failure is retried only by callers
+    // that arrived after it was reported.
+    if (succeed) {
+      EXPECT_EQ(builds.load(), 1);
+    } else {
+      EXPECT_GE(builds.load(), 1);
+    }
+  }
+}
+
+TEST(DaemonTest, BaseWorldSharedAcrossSeedsAndKindsMatchesColdRuns) {
+  // Micro seed A, micro seed B, micro seed A again, then one feret and
+  // one utkface request, all on one daemon: the later micro requests
+  // reuse the micro world, yet every digest equals a cold direct run —
+  // no request sees tuples another request appended. Each kind's world
+  // is built exactly once.
+  RepairRequestSpec seed_a = MicroSpec("a1");
+  seed_a.seed = 11;
+  RepairRequestSpec seed_b = MicroSpec("b");
+  seed_b.seed = 29;
+  RepairRequestSpec seed_a_again = seed_a;
+  seed_a_again.id = "a2";
+  RepairRequestSpec feret = MicroSpec("feret");
+  feret.dataset = DatasetKind::kFeret;
+  feret.tau = 20;
+  feret.max_queries = 16;
+  RepairRequestSpec utkface = MicroSpec("utkface");
+  utkface.dataset = DatasetKind::kUtkFace;
+  utkface.max_queries = 16;
+  const std::vector<RepairRequestSpec> specs = {seed_a, seed_b, seed_a_again,
+                                                feret, utkface};
+  std::vector<std::string> cold;
+  for (const RepairRequestSpec& spec : specs) {
+    cold.push_back(DirectMicroDigest(spec));
+  }
+  // The seeds must lead to different repairs, or reuse could hide.
+  ASSERT_NE(cold[0], cold[1]);
+
+  RunningDaemon server;
+  server.Start();
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SendPayload(server.client(), RenderRepairRequest(specs[i]));
+    obsctl::JsonValue report =
+        AwaitFrame(server.client(), "report", specs[i].id);
+    EXPECT_EQ(report.StringOr("records_digest", ""), cold[i]) << specs[i].id;
+    EXPECT_GT(report.IntOr("queries", 0), 0) << specs[i].id;
+  }
+  server.Finish();
+  EXPECT_TRUE(server.serve_status().ok()) << server.serve_status().ToString();
+  const DaemonStats stats = server.daemon().stats();
+  EXPECT_EQ(stats.world_builds, 3);
+  EXPECT_EQ(stats.completed, 5);
+  EXPECT_EQ(stats.active, 0);
+}
+
+TEST(DaemonTest, ConcurrentFirstRequestsShareOneWorldBuild) {
+  // Eight micro requests race for a world nobody has built yet: they
+  // must wait on a single build and all repair bit-identical copies.
+  const std::string clean = DirectMicroDigest(MicroSpec("direct"));
+  ASSERT_FALSE(clean.empty());
+
+  DaemonOptions options;
+  options.num_threads = 8;
+  RunningDaemon server(options);
+  server.Start();
+  constexpr int kRequests = 8;
+  for (int i = 0; i < kRequests; ++i) {
+    SendPayload(server.client(),
+                RenderRepairRequest(MicroSpec("c" + std::to_string(i))));
+  }
+  const auto reports = CollectReports(server.client(), kRequests);
+  ASSERT_EQ(reports.size(), static_cast<size_t>(kRequests));
+  for (const auto& [id, report] : reports) {
+    EXPECT_EQ(report.StringOr("records_digest", ""), clean) << id;
+  }
+  server.Finish();
+  const DaemonStats stats = server.daemon().stats();
+  EXPECT_EQ(stats.world_builds, 1);
+  EXPECT_EQ(stats.completed, kRequests);
+  EXPECT_EQ(stats.active, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -26,7 +27,7 @@
 namespace chameleon::daemon {
 namespace {
 
-/// Everything a request needs besides the model: its own corpus plus the
+/// A dataset's rendered corpus (with embeddings and realism) plus the
 /// simulator's style/scene hooks for that corpus's schema.
 struct RequestWorld {
   fm::Corpus corpus;
@@ -37,9 +38,9 @@ struct RequestWorld {
 }  // namespace
 
 /// Middle Eastern is absent entirely and Hispanic/Asian are thin,
-/// mirroring the paper's FERET skew in miniature. Built fresh per
-/// request from a fixed seed, so two requests with the same spec always
-/// repair bit-identical corpora.
+/// mirroring the paper's FERET skew in miniature. Built from a fixed
+/// seed, so every build — the daemon's one per lifetime, or a test's
+/// direct run — yields a bit-identical corpus.
 util::Result<fm::Corpus> MakeMicroCorpus(const embedding::Embedder* embedder) {
   fm::Corpus corpus;
   corpus.dataset = data::Dataset(datasets::FeretSchema());
@@ -60,10 +61,10 @@ util::Result<fm::Corpus> MakeMicroCorpus(const embedding::Embedder* embedder) {
 
 namespace {
 
-util::Result<RequestWorld> BuildWorld(const RepairRequestSpec& spec,
+util::Result<RequestWorld> BuildWorld(DatasetKind kind,
                                       const embedding::Embedder* embedder) {
   RequestWorld world;
-  switch (spec.dataset) {
+  switch (kind) {
     case DatasetKind::kMicro: {
       auto corpus = MakeMicroCorpus(embedder);
       if (!corpus.ok()) return corpus.status();
@@ -96,32 +97,78 @@ util::Result<RequestWorld> BuildWorld(const RepairRequestSpec& spec,
   return util::Status::InvalidArgument("unknown dataset kind");
 }
 
-/// Warm-index handoff between RunRequest and ExecuteRepair (incremental
-/// requests only): `cached` carries a clone of the daemon's cache entry
-/// in; `built` carries a freshly-built base-corpus index back out on a
-/// miss so RunRequest can backfill the cache.
-struct WarmIndexExchange {
-  std::optional<coverage::IncrementalMupIndex> cached;
-  std::optional<coverage::IncrementalMupIndex> built;
+}  // namespace
+
+/// Everything about a dataset kind that does not depend on the request:
+/// the rendered world, plus one pre-repair incremental MUP index per tau,
+/// built on first use. Both are pure functions of the kind (and tau), so
+/// the daemon shares one instance across all requests and never mutates
+/// what it has handed out; requests repair copies.
+class BaseWorld {
+ public:
+  static util::Result<std::shared_ptr<const BaseWorld>> Build(
+      DatasetKind kind) {
+    // The embedder is deterministic, so embeddings made with this one
+    // equal those any request's own embedder would make.
+    embedding::SimulatedEmbedder embedder;
+    auto world = BuildWorld(kind, &embedder);
+    if (!world.ok()) return world.status();
+    return std::shared_ptr<const BaseWorld>(
+        std::make_shared<BaseWorld>(*std::move(world)));
+  }
+
+  explicit BaseWorld(RequestWorld world) : world_(std::move(world)) {}
+
+  const RequestWorld& world() const { return world_; }
+
+  /// The base corpus's incremental MUP index at `tau`. `*built` is true
+  /// when this call paid the lattice traversal.
+  util::Result<std::shared_ptr<const coverage::IncrementalMupIndex>> Index(
+      int64_t tau, int num_threads, bool* built) const {
+    return indexes_.GetOrBuild(
+        tau,
+        [&]() -> util::Result<
+                  std::shared_ptr<const coverage::IncrementalMupIndex>> {
+          coverage::IncrementalMupOptions options;
+          options.tau = tau;
+          options.num_threads = num_threads;
+          auto index = coverage::IncrementalMupIndex::FromDataset(
+              world_.corpus.dataset, options);
+          if (!index.ok()) return index.status();
+          return std::shared_ptr<const coverage::IncrementalMupIndex>(
+              std::make_shared<coverage::IncrementalMupIndex>(
+                  *std::move(index)));
+        },
+        built);
+  }
+
+ private:
+  const RequestWorld world_;
+  /// A cache of pure functions of world_, hence mutable in a const world.
+  mutable BuildOnceMap<int64_t, coverage::IncrementalMupIndex> indexes_;
 };
 
-/// One request's entire pipeline, built from scratch: simulator, optional
-/// fault injector, resilience decorator, and the repair itself. Nothing
-/// here outlives the call and nothing is shared with any other request —
-/// the structural form of per-request breaker/clock isolation. `warm`
-/// (null unless spec.incremental) is the one deliberate exception, and
-/// even it exchanges clones, never shared state.
+namespace {
+
+/// One request's pipeline: a copy of the base corpus (RepairMinLevelMups
+/// appends accepted tuples to it), its own simulator, optional fault
+/// injector, resilience decorator, embedder and evaluators, and the repair
+/// itself. Nothing mutable here is shared with any other request — the
+/// structural form of per-request breaker/clock isolation. `base` is
+/// shared but immutable; an incremental request repairs a clone of its
+/// index. `*index_built` reports whether this request built that index.
 util::Result<core::RepairReport> ExecuteRepair(const RepairRequestSpec& spec,
+                                               const BaseWorld& base,
                                                fm::Deadline* deadline,
-                                               WarmIndexExchange* warm,
+                                               bool* index_built,
                                                obs::Observability* obs) {
   embedding::SimulatedEmbedder embedder;
   fm::EvaluatorPool evaluators(2024);
-  auto world = BuildWorld(spec, &embedder);
-  if (!world.ok()) return world.status();
+  const RequestWorld& world = base.world();
+  fm::Corpus corpus = world.corpus;
 
-  fm::SimulatedFoundationModel sim(world->corpus.dataset.schema(),
-                                   world->style, world->scene,
+  fm::SimulatedFoundationModel sim(corpus.dataset.schema(), world.style,
+                                   world.scene,
                                    fm::SimulatedFoundationModel::Options());
   std::unique_ptr<fm::FlakyFoundationModel> flaky;
   fm::FoundationModel* stack = &sim;
@@ -141,28 +188,12 @@ util::Result<core::RepairReport> ExecuteRepair(const RepairRequestSpec& spec,
   options.incremental_coverage = spec.incremental;
   options.observability = obs;  // null = telemetry off, zero overhead
   core::Chameleon system(&resilient, &embedder, &evaluators, options);
-  if (spec.incremental && warm != nullptr) {
-    const data::Dataset& dataset = world->corpus.dataset;
-    if (warm->cached.has_value() && warm->cached->tau() == spec.tau &&
-        warm->cached->num_tuples() ==
-            static_cast<int64_t>(dataset.size()) &&
-        warm->cached->SchemaMatches(dataset.schema())) {
-      system.AdoptIncrementalIndex(*std::move(warm->cached));
-    } else {
-      // Cold (or stale — never trusted): build the base-corpus index
-      // here and hand a pre-repair copy back for the cache, so the next
-      // request with this (dataset, tau) skips the lattice traversal.
-      coverage::IncrementalMupOptions index_options;
-      index_options.tau = spec.tau;
-      index_options.num_threads = spec.num_threads;
-      auto base =
-          coverage::IncrementalMupIndex::FromDataset(dataset, index_options);
-      if (!base.ok()) return base.status();
-      warm->built = *base;
-      system.AdoptIncrementalIndex(*std::move(base));
-    }
+  if (spec.incremental) {
+    auto index = base.Index(spec.tau, spec.num_threads, index_built);
+    if (!index.ok()) return index.status();
+    system.AdoptIncrementalIndex(**index);
   }
-  return system.RepairMinLevelMups(&world->corpus);
+  return system.RepairMinLevelMups(&corpus);
 }
 
 }  // namespace
@@ -467,27 +498,15 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
     });
   }
 
-  // Incremental requests clone the warm (dataset, tau) index if one is
-  // cached; the clone — never the cached instance — is what the repair
-  // mutates, so concurrent requests stay fully isolated.
-  std::optional<WarmIndexExchange> warm;
-  std::string index_key;
-  bool warm_hit = false;
-  if (spec.incremental) {
-    warm.emplace();
-    index_key = std::string(DatasetKindName(spec.dataset)) + "/tau=" +
-                std::to_string(spec.tau);
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    auto it = warm_indexes_.find(index_key);
-    if (it != warm_indexes_.end()) {
-      warm->cached = it->second;
-      warm_hit = true;
-    }
-  }
-
+  // The first request of a dataset kind builds its BaseWorld (later ones
+  // share it); the repair itself runs on a per-request copy.
+  bool index_built = false;
+  auto base = AcquireWorld(spec.dataset);
   auto report =
-      ExecuteRepair(spec, deadline.get(), warm.has_value() ? &*warm : nullptr,
-                    request_obs.has_value() ? &*request_obs : nullptr);
+      base.ok() ? ExecuteRepair(spec, **base, deadline.get(), &index_built,
+                                request_obs.has_value() ? &*request_obs
+                                                        : nullptr)
+                : util::Result<core::RepairReport>(base.status());
 
   // The daemon's own virtual clock advances by each request's consumed
   // virtual time, so aggregator windows measure served virtual load.
@@ -504,11 +523,6 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
       aggregator_.AddCounter("daemon.slo.parked_rounds",
                              report->faults.parked_entries(), now_ms);
     }
-  }
-
-  if (warm.has_value() && warm->built.has_value()) {
-    std::lock_guard<std::mutex> lock(index_mutex_);
-    warm_indexes_.insert_or_assign(index_key, *std::move(warm->built));
   }
 
   // Journal + respond before releasing the slot: Drain closes the
@@ -550,15 +564,28 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
     ++stats_.completed;
     if (was_cancelled) ++stats_.cancelled;
     if (report.ok() && report->deadline_expired) ++stats_.deadline_expired;
-    if (spec.incremental) {
-      if (warm_hit) {
-        ++stats_.index_warm_hits;
-      } else {
+    if (spec.incremental && base.ok()) {
+      if (index_built) {
         ++stats_.index_warm_misses;
+      } else {
+        ++stats_.index_warm_hits;
       }
     }
   }
   drain_cv_.notify_all();
+}
+
+util::Result<std::shared_ptr<const BaseWorld>> Daemon::AcquireWorld(
+    DatasetKind kind) {
+  bool built = false;
+  auto world =
+      worlds_.GetOrBuild(kind, [kind] { return BaseWorld::Build(kind); },
+                         &built);
+  if (built) {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    ++stats_.world_builds;
+  }
+  return world;
 }
 
 util::Status Daemon::Drain() {

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/coverage/incremental_mup.h"
 #include "src/embedding/embedder.h"
 #include "src/fm/corpus.h"
 #include "src/fm/deadline.h"
@@ -21,6 +20,7 @@
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
+#include "tools/chameleond/build_once.h"
 #include "tools/chameleond/protocol.h"
 #include "tools/chameleond/transport.h"
 
@@ -30,7 +30,8 @@ namespace chameleon::daemon {
 /// FERET-schema corpus (Middle Eastern absent entirely, Asian/Hispanic
 /// thin) whose minimum-level repair runs in a fraction of a second.
 /// Exposed so tests and benches can run the identical repair directly
-/// against core::Chameleon and compare digests with daemon runs.
+/// against core::Chameleon and compare digests with daemon runs; the
+/// daemon itself builds it once, into the micro BaseWorld.
 [[nodiscard]] util::Result<fm::Corpus> MakeMicroCorpus(
     const embedding::Embedder* embedder);
 
@@ -84,7 +85,14 @@ struct DaemonStats {
   /// never reuse a stale frontier.
   int64_t index_warm_hits = 0;
   int64_t index_warm_misses = 0;
+  /// Base worlds built: at most one per dataset kind over the daemon's
+  /// lifetime (a failed build is retried, and counted again).
+  int64_t world_builds = 0;
 };
+
+/// The immutable starting point of every request of one dataset kind;
+/// defined in daemon.cc.
+class BaseWorld;
 
 /// The chameleond server: accepts length-prefixed JSONL frames over a
 /// Transport, multiplexes repair requests onto a shared ThreadPool with
@@ -145,12 +153,18 @@ class Daemon {
   /// and waits for them to park.
   [[nodiscard]] util::Status Drain();
 
-  /// Worker body: builds the per-request model stack (its own simulator,
-  /// fault injector, resilience decorator, and Deadline — full isolation
-  /// from every other request), runs the repair, journals the outcome,
+  /// Worker body: takes the dataset's shared BaseWorld, copies its corpus
+  /// and builds the per-request model stack (its own simulator, fault
+  /// injector, resilience decorator, and Deadline — nothing mutable is
+  /// shared with another request), runs the repair, journals the outcome,
   /// and sends the report frame.
   void RunRequest(const RepairRequestSpec& spec,
                   const std::shared_ptr<fm::Deadline>& deadline);
+
+  /// The shared BaseWorld of `kind`, built on the first request of that
+  /// kind (concurrent first requests wait on one build).
+  [[nodiscard]] util::Result<std::shared_ptr<const BaseWorld>> AcquireWorld(
+      DatasetKind kind);
 
   /// Serialized frame write; after the first failure every send fails
   /// fast (the peer is gone, but draining must still finish).
@@ -192,15 +206,12 @@ class Daemon {
   std::mutex write_mutex_;
   bool write_failed_ CHAMELEON_GUARDED_BY(write_mutex_) = false;
 
-  /// Warm incremental MUP indexes, one per (dataset, tau) — see
-  /// DESIGN.md §14. Base corpora are rebuilt per request from fixed
-  /// seeds, so an entry stays valid for every request with the same key;
-  /// each request works on its own clone and never mutates the cached
-  /// copy. Guarded separately from state_mutex_ so an index clone never
-  /// stalls admission control.
-  std::mutex index_mutex_;
-  std::map<std::string, coverage::IncrementalMupIndex> warm_indexes_
-      CHAMELEON_GUARDED_BY(index_mutex_);
+  /// One BaseWorld per dataset kind (DESIGN.md §13), in process memory
+  /// only. A world is a pure function of its kind, so an entry is valid
+  /// for every later request, and a resumed daemon simply rebuilds it.
+  /// Self-synchronized, separately from state_mutex_, so a world build
+  /// never stalls admission control.
+  BuildOnceMap<DatasetKind, BaseWorld> worlds_;
 
   std::vector<ResumedRequest> resumed_;
 

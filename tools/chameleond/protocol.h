@@ -12,9 +12,10 @@
 namespace chameleon::daemon {
 
 /// Datasets a request may target. All are in-tree synthetic corpora, so
-/// a request is fully self-describing: no server-side state beyond the
-/// request itself. kMicro is a deliberately small FERET-schema corpus
-/// (tests, benches, smoke traffic); kFeret/kUtkFace are the paper's.
+/// a request is fully self-describing: the only server-side state is the
+/// daemon's cache of each kind's base world, a pure function of the kind.
+/// kMicro is a deliberately small FERET-schema corpus (tests, benches,
+/// smoke traffic); kFeret/kUtkFace are the paper's.
 enum class DatasetKind { kMicro, kFeret, kUtkFace };
 
 const char* DatasetKindName(DatasetKind kind);
