@@ -55,11 +55,11 @@ std::string FormatTarget(const std::vector<int>& target) {
 }
 
 /// Instrument handles for the generate→reject loop, resolved once per
-/// GenerateAccepted call (Registry lookups are mutex-guarded — its
-/// instrument maps carry CHAMELEON_GUARDED_BY(mutex_), enforced by
-/// chameleon-lint's lock-discipline rule; the loop itself must only pay
-/// atomic increments on the returned handles). All null when
-/// observability is off.
+/// GenerateAccepted call, each `guide.arm.<k>` on its arm's first pull
+/// (Registry lookups are mutex-guarded — its instrument maps carry
+/// CHAMELEON_GUARDED_BY(mutex_), enforced by chameleon-lint's
+/// lock-discipline rule; the loop itself must only pay atomic increments
+/// on the returned handles). All null when observability is off.
 struct LoopInstruments {
   obs::Counter* fm_queries = nullptr;
   obs::Counter* fm_parked = nullptr;
@@ -73,7 +73,7 @@ struct LoopInstruments {
   obs::Histogram* decision_value = nullptr;
   obs::Histogram* quality_p = nullptr;
 
-  explicit LoopInstruments(obs::Registry* registry) {
+  explicit LoopInstruments(obs::Registry* registry) : registry_(registry) {
     fm_queries = registry->Counter("fm.queries");
     fm_parked = registry->Counter("fm.parked");
     guide_with = registry->Counter("guide.with_guide");
@@ -88,6 +88,21 @@ struct LoopInstruments {
     quality_p = registry->Histogram(
         "rejection.quality_p", {0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0});
   }
+
+  /// `guide.arm.<arm>`, resolved on the arm's first pull in this call so
+  /// the registry gains no counter for an arm that is never pulled.
+  obs::Counter* GuideArm(int arm) {
+    const size_t slot = static_cast<size_t>(arm + 1);  // arm -1: no bandit
+    if (slot >= guide_arms_.size()) guide_arms_.resize(slot + 1, nullptr);
+    if (guide_arms_[slot] == nullptr) {
+      guide_arms_[slot] = registry_->Counter("guide.arm." + std::to_string(arm));
+    }
+    return guide_arms_[slot];
+  }
+
+ private:
+  obs::Registry* registry_;
+  std::vector<obs::Counter*> guide_arms_;  ///< indexed by arm + 1
 };
 
 }  // namespace
@@ -181,31 +196,46 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       batch_span.emplace(obs->tracer.StartSpan("rejection.batch"));
     }
 
-    // Submission: everything that touches the master rng or reads
-    // mutable pipeline state runs serially, in the same order at every
-    // transport batch size. Each request forks a generation stream and a
-    // label stream off the master rng at submission, so grouping the
-    // dispatches differently cannot change any draw (DESIGN.md §11).
+    // A round runs in three stages that never overlap (DESIGN.md §11):
+    //  1. Selection, serial: Select, the payload check and the two rng
+    //     forks per slot, in submission order. This is everything that
+    //     touches the master rng or reads mutable pipeline state, and each
+    //     request's own generation and label streams are forked here, so
+    //     neither the mask fan-out nor the transport grouping can change
+    //     any draw.
+    //  2. Masks, on the pool: each guided slot writes only its own mask.
+    //  3. Dispatch, serial: journal and count each query, enqueue it, then
+    //     force-flush. Under the pool's Scope a model whose slots are
+    //     independent (the simulator) serves each flushed batch on the
+    //     pool; resilience decorators keep their serial default.
+    // The direct path (fm_batch_size 1) keeps the legacy per-query shape:
+    // inline mask and Generate, stopping at the first transport failure.
     std::vector<PendingGeneration> submissions;
     submissions.reserve(batch);
+    auto note_query = [&](const GuideChoice& choice) {
+      if (obs == nullptr) return;
+      (choice.has_guide ? metrics->guide_with : metrics->guide_without)
+          ->Increment();
+      metrics->GuideArm(choice.arm)->Increment();
+      obs->journal.Record(obs::JournalEvent("fm.query")
+                              .Set("target", FormatTarget(target))
+                              .Set("arm", choice.arm)
+                              .Set("guided", choice.has_guide));
+    };
+    // Slots [0, ready) passed selection. A selection error stops the
+    // round; a slot past `ready` failed its payload check and is journaled
+    // last, where the one-query-at-a-time loop journaled it.
+    util::Status selection_error;
+    size_t ready = 0;
     for (int64_t b = 0; b < batch; ++b) {
       ++attempts;
 
       auto choice = selector->Select(corpus->dataset, target, rng);
-      if (!choice.ok()) return choice.status();
-      if (obs != nullptr) {
-        (choice->has_guide ? metrics->guide_with : metrics->guide_without)
-            ->Increment();
-        obs->registry.Counter("guide.arm." + std::to_string(choice->arm))
-            ->Increment();
-        obs->journal.Record(obs::JournalEvent("fm.query")
-                                .Set("target", FormatTarget(target))
-                                .Set("arm", choice->arm)
-                                .Set("guided", choice->has_guide));
+      if (!choice.ok()) {
+        selection_error = choice.status();
+        break;
       }
-
-      submissions.emplace_back();
-      PendingGeneration& sub = submissions.back();
+      PendingGeneration& sub = submissions.emplace_back();
       sub.choice = std::move(*choice);
       sub.request.target_values = target;
       sub.request.prompt = fm::BuildPrompt(schema, target);
@@ -213,42 +243,69 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
         const data::Tuple& guide_tuple = corpus->dataset.tuple(
             sub.choice.tuple_index);
         if (guide_tuple.payload_id < 0) {
-          return util::Status::FailedPrecondition(
+          selection_error = util::Status::FailedPrecondition(
               "guide tuple has no image payload");
+          break;
         }
         // Stable for the round: the corpus only grows at the merge below.
-        const image::Image& guide_image =
-            corpus->images[guide_tuple.payload_id];
-        sub.mask = image::GenerateMask(guide_image, options_.mask_level);
-        sub.request.guide = &guide_image;
+        sub.request.guide = &corpus->images[guide_tuple.payload_id];
         sub.request.guide_values = &sub.choice.guide_values;
         sub.request.mask = &sub.mask;
       }
       sub.gen_rng = rng->Fork();
       sub.label_rng = rng->Fork();
+      ready = submissions.size();
+      if (coalescer.has_value()) continue;
 
+      note_query(sub.choice);
+      if (sub.request.guide != nullptr) {
+        sub.mask = image::GenerateMask(*sub.request.guide, options_.mask_level);
+      }
       // `fm.queries` counts issued queries — incremented before the
       // dispatch so it equals FoundationModel::num_queries() whatever the
       // outcome (the contract test in chameleon_test.cc pins both).
       if (obs != nullptr) metrics->fm_queries->Increment();
-      if (coalescer.has_value()) {
-        CHAMELEON_RETURN_NOT_OK(
-            coalescer->Enqueue(&sub.request, &sub.gen_rng, &sub.result));
-      } else {
-        sub.result = model_->Generate(sub.request, &sub.gen_rng);
-        if (!sub.result->ok()) {
-          // Legacy wire shape: stop submitting at the first transport
-          // failure; the processing loop below parks it. Terminal codes
-          // abort the run outright.
-          if (options_.park_failing_entries &&
-              fm::IsTransportError(sub.result->status().code())) {
-            break;
-          }
-          return sub.result->status();
+      sub.result = model_->Generate(sub.request, &sub.gen_rng);
+      if (!sub.result->ok()) {
+        // Legacy wire shape: stop submitting at the first transport
+        // failure; the processing loop below parks it. Terminal codes
+        // abort the run outright.
+        if (options_.park_failing_entries &&
+            fm::IsTransportError(sub.result->status().code())) {
+          break;
         }
+        return sub.result->status();
       }
     }
-    if (coalescer.has_value()) CHAMELEON_RETURN_NOT_OK(coalescer->Flush());
+    if (coalescer.has_value()) {
+      auto make_masks = [&](int64_t begin, int64_t end, int64_t /*chunk*/) {
+        for (int64_t i = begin; i < end; ++i) {
+          PendingGeneration& sub = submissions[i];
+          if (sub.request.guide == nullptr) continue;
+          sub.mask =
+              image::GenerateMask(*sub.request.guide, options_.mask_level);
+        }
+      };
+      if (pool != nullptr) {
+        pool->ParallelFor(static_cast<int64_t>(ready), 1, make_masks);
+      } else {
+        make_masks(0, static_cast<int64_t>(ready), 0);
+      }
+
+      const util::ThreadPool::Scope fan_out(pool.get());
+      for (size_t i = 0; i < ready; ++i) {
+        PendingGeneration& sub = submissions[i];
+        note_query(sub.choice);
+        if (obs != nullptr) metrics->fm_queries->Increment();
+        CHAMELEON_RETURN_NOT_OK(
+            coalescer->Enqueue(&sub.request, &sub.gen_rng, &sub.result));
+      }
+      if (selection_error.ok()) CHAMELEON_RETURN_NOT_OK(coalescer->Flush());
+    }
+    if (!selection_error.ok()) {
+      if (submissions.size() > ready) note_query(submissions.back().choice);
+      return selection_error;
+    }
 
     // Transport results, in submission order. A transport failure means
     // the model's resilience layer (retries, breaker) already did what

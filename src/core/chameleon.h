@@ -47,9 +47,13 @@ struct ChameleonOptions {
   int64_t max_queries = 50000;
   int64_t max_attempts_per_tuple = 40;
   uint64_t seed = 99;
-  /// Worker count for the parallel stages (MUP detection and the
-  /// rejection loop's candidate evaluation): 0 = hardware concurrency
-  /// (the default), 1 = serial. For any fixed rejection_batch the run is
+  /// Worker count for the parallel stages: MUP detection, and per
+  /// rejection round (rejection_batch > 1) the guides' masks, the batched
+  /// FM dispatch when the model fans out under ThreadPool::Current() (the
+  /// simulator does; resilience decorators stay serial), and candidate
+  /// evaluation. Selection, journaling and the merge stay serial
+  /// (DESIGN.md §11 "Round stages"). 0 = hardware concurrency (the
+  /// default), 1 = serial. For any fixed rejection_batch the run is
   /// bit-identical at every setting — the batch structure and merge
   /// order never depend on the worker count.
   int num_threads = 0;

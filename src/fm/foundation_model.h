@@ -121,7 +121,10 @@ class FoundationModel {
   /// (Flaky/Resilient) compose with batching unchanged: each slot sees
   /// the same fault schedule and retry behaviour it would see as a lone
   /// Generate call. Overrides (e.g. BackendPool) must preserve slot order
-  /// and call each item's Generate-equivalent exactly once.
+  /// and call each item's Generate-equivalent exactly once. An override
+  /// whose slots are independent may run them on the caller's
+  /// util::ThreadPool::Current() (SimulatedFoundationModel does); one
+  /// whose behaviour depends on call order must not.
   [[nodiscard]] virtual std::vector<util::Result<GenerationResult>>
   GenerateBatch(std::span<const BatchItem> items);
 

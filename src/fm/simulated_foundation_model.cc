@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "src/image/foreground.h"
+#include "src/util/thread_pool.h"
 
 namespace chameleon::fm {
 namespace {
@@ -218,6 +220,25 @@ util::Result<GenerationResult> SimulatedFoundationModel::Generate(
   result.image = image::CompositeWithMask(*request.guide, regenerated,
                                           *request.mask);
   return result;
+}
+
+std::vector<util::Result<GenerationResult>>
+SimulatedFoundationModel::GenerateBatch(std::span<const BatchItem> items) {
+  util::ThreadPool* pool = util::ThreadPool::Current();
+  if (pool == nullptr) return FoundationModel::GenerateBatch(items);
+  std::vector<std::optional<util::Result<GenerationResult>>> slots(
+      items.size());
+  pool->ParallelFor(static_cast<int64_t>(items.size()), 1,
+                    [&](int64_t begin, int64_t end, int64_t /*chunk*/) {
+                      for (int64_t i = begin; i < end; ++i) {
+                        slots[i].emplace(
+                            Generate(*items[i].request, items[i].rng));
+                      }
+                    });
+  std::vector<util::Result<GenerationResult>> results;
+  results.reserve(items.size());
+  for (auto& slot : slots) results.push_back(std::move(*slot));
+  return results;
 }
 
 }  // namespace chameleon::fm

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/data/schema.h"
@@ -84,8 +85,18 @@ class SimulatedFoundationModel : public FoundationModel {
                            const image::SceneStyle& dataset_scene,
                            const Options& options);
 
+  /// Reads only const state (plus the atomic query counter), so
+  /// concurrent calls with distinct rngs are safe; `face_style_fn` must be
+  /// safe to call concurrently too (the in-tree ones are pure).
   [[nodiscard]] util::Result<GenerationResult> Generate(const GenerationRequest& request,
                                           util::Rng* rng) override;
+
+  /// One Generate per slot. Under a util::ThreadPool::Scope the slots run
+  /// on that pool, each on its own rng, so the results are bit-identical
+  /// to the serial slot-order loop (which runs without a scope). Items
+  /// must carry distinct rngs, as the pipeline's forked streams do.
+  [[nodiscard]] std::vector<util::Result<GenerationResult>> GenerateBatch(
+      std::span<const BatchItem> items) override;
 
   double query_cost() const override { return options_.query_cost; }
 

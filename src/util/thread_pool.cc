@@ -4,6 +4,19 @@
 #include <atomic>
 
 namespace chameleon::util {
+namespace {
+
+thread_local ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
+ThreadPool::Scope::Scope(ThreadPool* pool) : previous_(current_pool) {
+  current_pool = pool;
+}
+
+ThreadPool::Scope::~Scope() { current_pool = previous_; }
+
+ThreadPool* ThreadPool::Current() { return current_pool; }
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
@@ -80,6 +93,8 @@ void ThreadPool::ParallelFor(
   const int64_t num_chunks = (total + grain - 1) / grain;
   parallel_for_calls_.fetch_add(1, std::memory_order_relaxed);
   chunks_executed_.fetch_add(num_chunks, std::memory_order_relaxed);
+  // The caller's chunks run without its ambient pool, as workers' do.
+  const Scope no_ambient_pool(nullptr);
   auto run_chunk = [&](int64_t chunk) {
     const int64_t begin = chunk * grain;
     const int64_t end = std::min(total, begin + grain);

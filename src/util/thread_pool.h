@@ -28,8 +28,9 @@ struct ThreadPoolStats {
 };
 
 /// Fixed-size worker pool shared by the parallel pipeline stages (MUP
-/// frontier counting, OCSVM Gram construction and batch scoring, the
-/// rejection loop's candidate evaluation).
+/// frontier counting, OCSVM Gram construction and batch scoring, and per
+/// rejection round the guide masks, the batched FM dispatch and the
+/// candidate evaluation).
 ///
 /// Determinism contract: `ParallelFor` splits the index range into chunks
 /// whose boundaries depend only on (total, grain) — never on the worker
@@ -37,8 +38,32 @@ struct ThreadPoolStats {
 /// seed serially, in chunk order. A body that writes per-index or
 /// per-chunk outputs therefore produces bit-identical results at every
 /// `num_threads`, including 1 (which runs inline with no pool traffic).
+///
+/// Ambient pool: a Scope makes a pool the calling thread's Current(), so
+/// code behind an unchanged interface (e.g. FoundationModel::GenerateBatch)
+/// can fan out on the pool its caller owns. Workers never hold a scope,
+/// and ParallelFor clears the caller's for the duration of the loop, so
+/// Current() is null inside every ParallelFor body and a nested
+/// ParallelFor through it runs inline instead of waiting on helpers that
+/// its own pool may be too busy to run.
 class ThreadPool {
  public:
+  /// Makes `pool` (may be null) the calling thread's Current() until the
+  /// scope ends, then restores the previous one. Not movable; scopes nest.
+  class Scope {
+   public:
+    explicit Scope(ThreadPool* pool);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    ThreadPool* previous_;
+  };
+
+  /// The calling thread's ambient pool, or null outside every Scope.
+  static ThreadPool* Current();
+
   /// Spawns `num_threads` workers (clamped to >= 1).
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
@@ -65,7 +90,8 @@ class ThreadPool {
   /// [0, total) with the given grain. At most num_threads() chunks run
   /// concurrently (the calling thread participates); returns once all
   /// chunks finished. The body must only write state disjoint across
-  /// chunks (e.g. per-index slots of a preallocated output).
+  /// chunks (e.g. per-index slots of a preallocated output). Current() is
+  /// null inside the body on every participating thread.
   void ParallelFor(
       int64_t total, int64_t grain,
       const std::function<void(int64_t, int64_t, int64_t)>& body);

@@ -25,6 +25,7 @@
 #include "src/obs/observability.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
+#include "src/util/thread_pool.h"
 
 namespace chameleon::fm {
 namespace {
@@ -208,44 +209,67 @@ TEST(BatchCoalescerTest, PerRequestFailuresLandInTheirOwnSlots) {
 TEST(FoundationModelTest, DefaultGenerateBatchMatchesLoopOverGenerate) {
   const auto schema = datasets::FeretSchema();
   const SimulatedFoundationModel::Options sim_options;
-  SimulatedFoundationModel loop_model(schema, datasets::FeretFaceStyleFn(),
-                                      datasets::FeretScene(), sim_options);
-  SimulatedFoundationModel batch_model(schema, datasets::FeretFaceStyleFn(),
-                                       datasets::FeretScene(), sim_options);
+  auto make_model = [&] {
+    return SimulatedFoundationModel(schema, datasets::FeretFaceStyleFn(),
+                                    datasets::FeretScene(), sim_options);
+  };
 
+  // Slot 3 targets a combination outside the schema and must fail in its
+  // own slot without disturbing its batchmates.
   std::vector<GenerationRequest> requests;
   for (int i = 0; i < 6; ++i) {
     GenerationRequest request;
     request.target_values = {i % 2, i % 5};
+    if (i == 3) request.target_values = {7, 7};
     requests.push_back(request);
   }
 
   // Per-request RNG forks from a common parent, exactly as the pipeline
   // does before enqueueing.
-  std::vector<GenerationResult> via_loop;
+  SimulatedFoundationModel loop_model = make_model();
+  std::vector<util::Result<GenerationResult>> via_loop;
   {
     util::Rng parent(99);
     for (const GenerationRequest& request : requests) {
       util::Rng fork = parent.Fork();
-      via_loop.push_back(*loop_model.Generate(request, &fork));
+      via_loop.push_back(loop_model.Generate(request, &fork));
     }
   }
-  util::Rng parent(99);
-  std::vector<util::Rng> forks;
-  forks.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) forks.push_back(parent.Fork());
-  std::vector<BatchItem> items;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    items.push_back(BatchItem{&requests[i], &forks[i]});
-  }
-  const auto via_batch = batch_model.GenerateBatch(items);
+  ASSERT_FALSE(via_loop[3].ok());
 
-  ASSERT_EQ(via_batch.size(), via_loop.size());
-  for (size_t i = 0; i < via_loop.size(); ++i) {
-    ASSERT_TRUE(via_batch[i].ok());
-    EXPECT_EQ(via_batch[i]->image, via_loop[i].image) << "item " << i;
-    EXPECT_EQ(via_batch[i]->values, via_loop[i].values);
-    EXPECT_EQ(via_batch[i]->latent_realism, via_loop[i].latent_realism);
+  // The batch serially (no ambient pool), then on a current pool: the
+  // simulator fans its slots out over the pool the caller scoped.
+  for (const int threads : {0, 4}) {
+    SCOPED_TRACE(threads == 0 ? "no current pool" : "current pool");
+    SimulatedFoundationModel batch_model = make_model();
+    util::Rng parent(99);
+    std::vector<util::Rng> forks;
+    forks.reserve(requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) forks.push_back(parent.Fork());
+    std::vector<BatchItem> items;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      items.push_back(BatchItem{&requests[i], &forks[i]});
+    }
+    std::optional<util::ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    const util::ThreadPool::Scope scope(pool.has_value() ? &*pool : nullptr);
+    const auto via_batch = batch_model.GenerateBatch(items);
+
+    ASSERT_EQ(via_batch.size(), via_loop.size());
+    for (size_t i = 0; i < via_loop.size(); ++i) {
+      ASSERT_EQ(via_batch[i].ok(), via_loop[i].ok()) << "item " << i;
+      if (!via_loop[i].ok()) {
+        EXPECT_EQ(via_batch[i].status(), via_loop[i].status());
+        continue;
+      }
+      EXPECT_EQ(via_batch[i]->image, via_loop[i]->image) << "item " << i;
+      EXPECT_EQ(via_batch[i]->values, via_loop[i]->values);
+      EXPECT_EQ(via_batch[i]->latent_realism, via_loop[i]->latent_realism);
+    }
+    EXPECT_EQ(batch_model.num_queries(), loop_model.num_queries());
+    if (pool.has_value()) {
+      EXPECT_GT(pool->stats().parallel_for_calls, 0);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 // at every thread count, and never changes which tuples are accepted.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -648,7 +649,8 @@ struct ObservedRun {
 };
 
 /// One seeded FERET repair with an observability sink attached (or not).
-ObservedRun RunObserved(int num_threads, bool observe) {
+ObservedRun RunObserved(int num_threads, bool observe,
+                        int rejection_batch = 4) {
   embedding::SimulatedEmbedder embedder;
   fm::EvaluatorPool evaluators(2024);
   fm::Corpus corpus = *datasets::MakeFeret(&embedder, datasets::FeretOptions());
@@ -662,7 +664,7 @@ ObservedRun RunObserved(int num_threads, bool observe) {
   options.tau = 40;
   options.seed = 11;
   options.num_threads = num_threads;
-  options.rejection_batch = 4;
+  options.rejection_batch = rejection_batch;
   if (observe) options.observability = &observability;
 
   Chameleon system(&model, &embedder, &evaluators, options);
@@ -711,6 +713,46 @@ TEST(ObsPipelineTest, InstrumentedRunIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel.journal, serial.journal) << threads << " threads";
     EXPECT_EQ(parallel.trace, serial.trace) << threads << " threads";
     EXPECT_EQ(StableMetrics(parallel.metrics), StableMetrics(serial.metrics))
+        << threads << " threads";
+  }
+}
+
+/// FNV-1a 64 of `bytes`, as 16 hex digits.
+std::string Fnv1aHex(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  char out[17];
+  std::snprintf(out, sizeof(out), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return out;
+}
+
+std::string StableMetricsDigest(const std::vector<obs::MetricSample>& samples) {
+  std::string flat;
+  for (const auto& [name, value] : StableMetrics(samples)) {
+    flat += name + "=" + value + "\n";
+  }
+  return Fnv1aHex(flat);
+}
+
+// Golden artifacts of one fixed observed repair (FERET, tau 40, seed 11,
+// rejection_batch 8, default fm_batch_size). The thread-count test above
+// only compares runs of one build with each other; these digests pin the
+// journal, trace and stable metrics themselves, so reordering fm.query /
+// fm.batch events or moving work between the serial and parallel stages
+// of a round fails here even when every thread count agrees.
+TEST(ObsPipelineTest, RejectionBatchRunMatchesGoldenDigests) {
+  for (int threads : {1, 4}) {
+    const ObservedRun run =
+        RunObserved(threads, /*observe=*/true, /*rejection_batch=*/8);
+    EXPECT_EQ(run.report.queries, 72) << threads << " threads";
+    EXPECT_EQ(run.report.accepted, 51) << threads << " threads";
+    EXPECT_EQ(Fnv1aHex(run.journal), "58dcfb96d02adb8a") << threads << " threads";
+    EXPECT_EQ(Fnv1aHex(run.trace), "f487beb9b90380ef") << threads << " threads";
+    EXPECT_EQ(StableMetricsDigest(run.metrics), "9876d78e0995ce8b")
         << threads << " threads";
   }
 }

@@ -1,6 +1,8 @@
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -71,6 +73,61 @@ TEST(ThreadPoolTest, ParallelForHandlesEdgeCases) {
     }
   });
   EXPECT_EQ(sum.load(), 0 + 1 + 2 + 3 + 4);
+}
+
+TEST(ThreadPoolTest, CurrentIsNullByDefaultAndRestoredWhenScopeEnds) {
+  EXPECT_EQ(ThreadPool::Current(), nullptr);
+  ThreadPool outer(2);
+  ThreadPool inner(2);
+  {
+    const ThreadPool::Scope outer_scope(&outer);
+    EXPECT_EQ(ThreadPool::Current(), &outer);
+    {
+      const ThreadPool::Scope inner_scope(&inner);
+      EXPECT_EQ(ThreadPool::Current(), &inner);
+      {
+        const ThreadPool::Scope cleared(nullptr);
+        EXPECT_EQ(ThreadPool::Current(), nullptr);
+      }
+      EXPECT_EQ(ThreadPool::Current(), &inner);
+    }
+    EXPECT_EQ(ThreadPool::Current(), &outer);
+    // The scope is the calling thread's alone.
+    ThreadPool* seen_elsewhere = &outer;
+    std::thread other([&] { seen_elsewhere = ThreadPool::Current(); });
+    other.join();
+    EXPECT_EQ(seen_elsewhere, nullptr);
+  }
+  EXPECT_EQ(ThreadPool::Current(), nullptr);
+}
+
+TEST(ThreadPoolTest, CurrentIsNullInsideParallelForBodies) {
+  ThreadPool pool(4);
+  const ThreadPool::Scope scope(&pool);
+  const int64_t total = 32;
+  std::vector<ThreadPool*> seen(total, &pool);
+  std::vector<std::thread::id> ran_on(total);
+  pool.ParallelFor(total, 1, [&](int64_t begin, int64_t end, int64_t) {
+    for (int64_t i = begin; i < end; ++i) {
+      seen[i] = ThreadPool::Current();
+      ran_on[i] = std::this_thread::get_id();
+      // Long enough that the helpers take chunks too.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  int64_t on_workers = 0;
+  for (int64_t i = 0; i < total; ++i) {
+    EXPECT_EQ(seen[i], nullptr) << "index " << i;
+    if (ran_on[i] != std::this_thread::get_id()) ++on_workers;
+  }
+  EXPECT_GT(on_workers, 0);
+  // The caller's scope is back once the loop returns.
+  EXPECT_EQ(ThreadPool::Current(), &pool);
+
+  // Workers never hold a scope, whatever the submitting thread holds.
+  ThreadPool* seen_by_task = &pool;
+  pool.Submit([&] { seen_by_task = ThreadPool::Current(); }).get();
+  EXPECT_EQ(seen_by_task, nullptr);
 }
 
 TEST(ThreadPoolTest, ChunkDecompositionIndependentOfWorkerCount) {

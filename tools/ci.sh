@@ -36,11 +36,13 @@ run_job() {
   ctest --test-dir "${dir}" --output-on-failure
   if [[ "${name}" == "tsan" ]]; then
     # Focused second pass over the suites that exercise cross-thread
-    # machinery hardest: the fault-injection stack and the observability
+    # machinery hardest: the fault-injection stack, the observability
     # layer's concurrent counters/histograms and instrumented pipeline
-    # runs (labelled `resilience` and `obs` in tests/CMakeLists.txt).
-    echo "==== [${name}] ctest -L 'resilience|obs' (focused rerun) ===="
-    ctest --test-dir "${dir}" --output-on-failure -L 'resilience|obs'
+    # runs, the batched transport whose flushes fan out on the round's
+    # pool, and the pool's ambient-scope contract (labelled `resilience`,
+    # `obs`, `fm` and `threads` in tests/CMakeLists.txt).
+    echo "==== [${name}] ctest -L 'resilience|obs|fm|threads' (focused rerun) ===="
+    ctest --test-dir "${dir}" --output-on-failure -L 'resilience|obs|fm|threads'
   fi
 }
 
