@@ -54,55 +54,151 @@ std::string FormatTarget(const std::vector<int>& target) {
   return out;
 }
 
-/// Instrument handles for the generate→reject loop, resolved once per
+/// The generate→reject loop's only observability touchpoint: one method
+/// per event, each a no-op when no sink is attached, so the loop itself
+/// never tests the sink. Instrument handles are resolved once per
 /// GenerateAccepted call, each `guide.arm.<k>` on its arm's first pull
 /// (Registry lookups are mutex-guarded — its instrument maps carry
 /// CHAMELEON_GUARDED_BY(mutex_), enforced by chameleon-lint's
 /// lock-discipline rule; the loop itself must only pay atomic increments
-/// on the returned handles). All null when observability is off.
-struct LoopInstruments {
-  obs::Counter* fm_queries = nullptr;
-  obs::Counter* fm_parked = nullptr;
-  obs::Counter* guide_with = nullptr;
-  obs::Counter* guide_without = nullptr;
-  obs::Counter* accepted = nullptr;
-  obs::Counter* rejected = nullptr;
-  obs::Counter* rejected_distribution = nullptr;
-  obs::Counter* rejected_quality = nullptr;
-  obs::Counter* rejected_both = nullptr;
-  obs::Histogram* decision_value = nullptr;
-  obs::Histogram* quality_p = nullptr;
-
-  explicit LoopInstruments(obs::Registry* registry) : registry_(registry) {
-    fm_queries = registry->Counter("fm.queries");
-    fm_parked = registry->Counter("fm.parked");
-    guide_with = registry->Counter("guide.with_guide");
-    guide_without = registry->Counter("guide.no_guide");
-    accepted = registry->Counter("rejection.accepted");
-    rejected = registry->Counter("rejection.rejected");
-    rejected_distribution = registry->Counter("rejection.rejected_distribution");
-    rejected_quality = registry->Counter("rejection.rejected_quality");
-    rejected_both = registry->Counter("rejection.rejected_both");
-    decision_value = registry->Histogram(
+/// on the returned handles). Constructing one opens the `plan.entry`
+/// span and journals the entry; the span ends with the object.
+class LoopInstruments {
+ public:
+  LoopInstruments(obs::Observability* obs, const std::vector<int>& target,
+                  int64_t count)
+      : obs_(obs) {
+    if (obs_ == nullptr) return;
+    obs::Registry* registry = &obs_->registry;
+    fm_queries_ = registry->Counter("fm.queries");
+    fm_parked_ = registry->Counter("fm.parked");
+    guide_with_ = registry->Counter("guide.with_guide");
+    guide_without_ = registry->Counter("guide.no_guide");
+    accepted_ = registry->Counter("rejection.accepted");
+    rejected_ = registry->Counter("rejection.rejected");
+    rejected_distribution_ =
+        registry->Counter("rejection.rejected_distribution");
+    rejected_quality_ = registry->Counter("rejection.rejected_quality");
+    rejected_both_ = registry->Counter("rejection.rejected_both");
+    decision_value_ = registry->Histogram(
         "rejection.decision_value", {-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0});
-    quality_p = registry->Histogram(
+    quality_p_ = registry->Histogram(
         "rejection.quality_p", {0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0});
+    target_ = FormatTarget(target);
+    entry_span_.emplace(obs_->tracer.StartSpan("plan.entry"));
+    obs_->journal.Record(obs::JournalEvent("plan.entry")
+                             .Set("target", target_)
+                             .Set("count", count));
   }
 
+  /// The `rejection.batch` span of one round; empty when off.
+  std::optional<obs::Span> Round() {
+    if (obs_ == nullptr) return std::nullopt;
+    return obs_->tracer.StartSpan("rejection.batch");
+  }
+
+  /// One `fm.query` per selected slot. `issued` is false only for a slot
+  /// that failed its payload check: `fm.queries` counts issued queries,
+  /// so it equals FoundationModel::num_queries() whatever the outcome
+  /// (the contract test in chameleon_test.cc pins both).
+  void Query(const GuideChoice& choice, bool issued) {
+    if (obs_ == nullptr) return;
+    (choice.has_guide ? guide_with_ : guide_without_)->Increment();
+    GuideArm(choice.arm)->Increment();
+    obs_->journal.Record(obs::JournalEvent("fm.query")
+                             .Set("target", target_)
+                             .Set("arm", choice.arm)
+                             .Set("guided", choice.has_guide));
+    if (issued) fm_queries_->Increment();
+  }
+
+  /// One `fm.parked` per parking event: a failed result or a stop.
+  void Parked(const char* code) {
+    if (obs_ == nullptr) return;
+    fm_parked_->Increment();
+    obs_->journal.Record(obs::JournalEvent("fm.parked")
+                             .Set("target", target_)
+                             .Set("code", code));
+  }
+
+  /// The verdict of one merged candidate.
+  void Verdict(const RejectionOutcome& outcome, int arm) {
+    if (obs_ == nullptr) return;
+    decision_value_->Observe(outcome.decision_value);
+    quality_p_->Observe(outcome.quality_p_value);
+    if (outcome.Passed()) {
+      accepted_->Increment();
+      obs_->journal.Record(obs::JournalEvent("tuple.accepted")
+                               .Set("target", target_)
+                               .Set("arm", arm));
+      return;
+    }
+    rejected_->Increment();
+    const char* reason = "quality";
+    if (!outcome.distribution_pass && !outcome.quality_pass) {
+      rejected_both_->Increment();
+      reason = "both";
+    } else if (!outcome.distribution_pass) {
+      rejected_distribution_->Increment();
+      reason = "distribution";
+    } else {
+      rejected_quality_->Increment();
+    }
+    obs_->journal.Record(obs::JournalEvent("tuple.rejected")
+                             .Set("target", target_)
+                             .Set("arm", arm)
+                             .Set("reason", reason));
+  }
+
+  /// Folds this entry's pool activity into the threadpool.* metrics
+  /// (unstable across worker counts by nature; obs::IsStableMetric
+  /// excludes the whole namespace from the determinism contract).
+  void FoldPool(const util::ThreadPool* pool) {
+    if (obs_ == nullptr || pool == nullptr) return;
+    const util::ThreadPoolStats stats = pool->stats();
+    obs::Registry* registry = &obs_->registry;
+    registry->Counter("threadpool.tasks_submitted")
+        ->Increment(stats.tasks_submitted);
+    registry->Counter("threadpool.parallel_for_calls")
+        ->Increment(stats.parallel_for_calls);
+    registry->Counter("threadpool.chunks_executed")
+        ->Increment(stats.chunks_executed);
+    registry->Gauge("threadpool.workers")
+        ->Set(static_cast<double>(pool->num_threads()));
+    obs::Gauge* depth = registry->Gauge("threadpool.max_queue_depth");
+    if (static_cast<double>(stats.max_queue_depth) > depth->value()) {
+      depth->Set(static_cast<double>(stats.max_queue_depth));
+    }
+  }
+
+ private:
   /// `guide.arm.<arm>`, resolved on the arm's first pull in this call so
   /// the registry gains no counter for an arm that is never pulled.
   obs::Counter* GuideArm(int arm) {
     const size_t slot = static_cast<size_t>(arm + 1);  // arm -1: no bandit
     if (slot >= guide_arms_.size()) guide_arms_.resize(slot + 1, nullptr);
     if (guide_arms_[slot] == nullptr) {
-      guide_arms_[slot] = registry_->Counter("guide.arm." + std::to_string(arm));
+      guide_arms_[slot] =
+          obs_->registry.Counter("guide.arm." + std::to_string(arm));
     }
     return guide_arms_[slot];
   }
 
- private:
-  obs::Registry* registry_;
+  obs::Observability* obs_;
+  std::string target_;
+  obs::Counter* fm_queries_ = nullptr;
+  obs::Counter* fm_parked_ = nullptr;
+  obs::Counter* guide_with_ = nullptr;
+  obs::Counter* guide_without_ = nullptr;
+  obs::Counter* accepted_ = nullptr;
+  obs::Counter* rejected_ = nullptr;
+  obs::Counter* rejected_distribution_ = nullptr;
+  obs::Counter* rejected_quality_ = nullptr;
+  obs::Counter* rejected_both_ = nullptr;
+  obs::Histogram* decision_value_ = nullptr;
+  obs::Histogram* quality_p_ = nullptr;
   std::vector<obs::Counter*> guide_arms_;  ///< indexed by arm + 1
+  std::optional<obs::Span> entry_span_;
 };
 
 }  // namespace
@@ -133,31 +229,22 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
     pool = std::make_unique<util::ThreadPool>(num_threads);
   }
 
-  obs::Observability* const obs = options_.observability;
-
-  // Transport batching (DESIGN.md §11): 0 follows rejection_batch, 1 is
-  // the legacy one-dispatch-per-query wire shape. The coalescer is
-  // force-flushed at the end of every round (evaluation needs the
-  // results), so the window/size triggers only fire mid-round.
+  // Every query goes through the coalescer (DESIGN.md §11). Its cap
+  // follows rejection_batch unless fm_batch_size sets it; a cap of 1
+  // flushes each query on its own, and since a one-request flush is not
+  // a batch, the sink is attached only above 1 (no `fm.batch` events).
+  // The coalescer is force-flushed at the end of every round (evaluation
+  // needs the results), so the window/size triggers only fire mid-round.
   const int64_t fm_batch =
       options_.fm_batch_size > 0 ? options_.fm_batch_size : batch_limit;
-  std::optional<fm::BatchCoalescer> coalescer;
-  if (fm_batch > 1) {
-    fm::BatchCoalescerOptions coalescer_options;
-    coalescer_options.max_batch_size =
-        static_cast<int>(std::min<int64_t>(fm_batch, 4096));
-    coalescer_options.window_ms = options_.batch_window_ms;
-    coalescer.emplace(model_, coalescer_options, obs);
-  }
-  std::optional<LoopInstruments> metrics;
-  std::optional<obs::Span> entry_span;
-  if (obs != nullptr) {
-    metrics.emplace(&obs->registry);
-    entry_span.emplace(obs->tracer.StartSpan("plan.entry"));
-    obs->journal.Record(obs::JournalEvent("plan.entry")
-                            .Set("target", FormatTarget(target))
-                            .Set("count", count));
-  }
+  fm::BatchCoalescerOptions coalescer_options;
+  coalescer_options.max_batch_size =
+      static_cast<int>(std::min<int64_t>(fm_batch, 4096));
+  coalescer_options.window_ms = options_.batch_window_ms;
+  fm::BatchCoalescer coalescer(
+      model_, coalescer_options,
+      fm_batch > 1 ? options_.observability : nullptr);
+  LoopInstruments instruments(options_.observability, target, count);
 
   bool parked = false;
   // Accepted values of the current round, replayed into the streaming MUP
@@ -172,16 +259,8 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
     // report deterministic: a round either fully merges or never starts.
     if (options_.deadline != nullptr && options_.deadline->ShouldStop()) {
       report->faults.parked_targets.push_back(target);
-      parked = true;
-      if (obs != nullptr) {
-        metrics->fm_parked->Increment();
-        obs->journal.Record(
-            obs::JournalEvent("fm.parked")
-                .Set("target", FormatTarget(target))
-                .Set("code", options_.deadline->Cancelled()
-                                 ? "cancelled"
-                                 : "deadline_exceeded"));
-      }
+      instruments.Parked(options_.deadline->Cancelled() ? "cancelled"
+                                                        : "deadline_exceeded");
       break;
     }
     // Never submit more than the caps allow: a batch can accept at most
@@ -190,11 +269,7 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
     const int64_t batch = std::min(
         {batch_limit, count - accepted_here, attempt_cap - attempts,
          options_.max_queries - report->queries});
-
-    std::optional<obs::Span> batch_span;
-    if (obs != nullptr) {
-      batch_span.emplace(obs->tracer.StartSpan("rejection.batch"));
-    }
+    const std::optional<obs::Span> round_span = instruments.Round();
 
     // A round runs in three stages that never overlap (DESIGN.md §11):
     //  1. Selection, serial: Select, the payload check and the two rng
@@ -208,20 +283,8 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
     //     force-flush. Under the pool's Scope a model whose slots are
     //     independent (the simulator) serves each flushed batch on the
     //     pool; resilience decorators keep their serial default.
-    // The direct path (fm_batch_size 1) keeps the legacy per-query shape:
-    // inline mask and Generate, stopping at the first transport failure.
     std::vector<PendingGeneration> submissions;
     submissions.reserve(batch);
-    auto note_query = [&](const GuideChoice& choice) {
-      if (obs == nullptr) return;
-      (choice.has_guide ? metrics->guide_with : metrics->guide_without)
-          ->Increment();
-      metrics->GuideArm(choice.arm)->Increment();
-      obs->journal.Record(obs::JournalEvent("fm.query")
-                              .Set("target", FormatTarget(target))
-                              .Set("arm", choice.arm)
-                              .Set("guided", choice.has_guide));
-    };
     // Slots [0, ready) passed selection. A selection error stops the
     // round; a slot past `ready` failed its payload check and is journaled
     // last, where the one-query-at-a-time loop journaled it.
@@ -255,64 +318,43 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       sub.gen_rng = rng->Fork();
       sub.label_rng = rng->Fork();
       ready = submissions.size();
-      if (coalescer.has_value()) continue;
+    }
 
-      note_query(sub.choice);
-      if (sub.request.guide != nullptr) {
+    auto make_masks = [&](int64_t begin, int64_t end, int64_t /*chunk*/) {
+      for (int64_t i = begin; i < end; ++i) {
+        PendingGeneration& sub = submissions[i];
+        if (sub.request.guide == nullptr) continue;
         sub.mask = image::GenerateMask(*sub.request.guide, options_.mask_level);
       }
-      // `fm.queries` counts issued queries — incremented before the
-      // dispatch so it equals FoundationModel::num_queries() whatever the
-      // outcome (the contract test in chameleon_test.cc pins both).
-      if (obs != nullptr) metrics->fm_queries->Increment();
-      sub.result = model_->Generate(sub.request, &sub.gen_rng);
-      if (!sub.result->ok()) {
-        // Legacy wire shape: stop submitting at the first transport
-        // failure; the processing loop below parks it. Terminal codes
-        // abort the run outright.
-        if (options_.park_failing_entries &&
-            fm::IsTransportError(sub.result->status().code())) {
-          break;
-        }
-        return sub.result->status();
-      }
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(static_cast<int64_t>(ready), 1, make_masks);
+    } else {
+      make_masks(0, static_cast<int64_t>(ready), 0);
     }
-    if (coalescer.has_value()) {
-      auto make_masks = [&](int64_t begin, int64_t end, int64_t /*chunk*/) {
-        for (int64_t i = begin; i < end; ++i) {
-          PendingGeneration& sub = submissions[i];
-          if (sub.request.guide == nullptr) continue;
-          sub.mask =
-              image::GenerateMask(*sub.request.guide, options_.mask_level);
-        }
-      };
-      if (pool != nullptr) {
-        pool->ParallelFor(static_cast<int64_t>(ready), 1, make_masks);
-      } else {
-        make_masks(0, static_cast<int64_t>(ready), 0);
-      }
 
-      const util::ThreadPool::Scope fan_out(pool.get());
-      for (size_t i = 0; i < ready; ++i) {
-        PendingGeneration& sub = submissions[i];
-        note_query(sub.choice);
-        if (obs != nullptr) metrics->fm_queries->Increment();
-        CHAMELEON_RETURN_NOT_OK(
-            coalescer->Enqueue(&sub.request, &sub.gen_rng, &sub.result));
-      }
-      if (selection_error.ok()) CHAMELEON_RETURN_NOT_OK(coalescer->Flush());
+    const util::ThreadPool::Scope fan_out(pool.get());
+    for (size_t i = 0; i < ready; ++i) {
+      PendingGeneration& sub = submissions[i];
+      instruments.Query(sub.choice, /*issued=*/true);
+      CHAMELEON_RETURN_NOT_OK(
+          coalescer.Enqueue(&sub.request, &sub.gen_rng, &sub.result));
     }
     if (!selection_error.ok()) {
-      if (submissions.size() > ready) note_query(submissions.back().choice);
+      if (submissions.size() > ready) {
+        instruments.Query(submissions.back().choice, /*issued=*/false);
+      }
       return selection_error;
     }
+    CHAMELEON_RETURN_NOT_OK(coalescer.Flush());
 
     // Transport results, in submission order. A transport failure means
     // the model's resilience layer (retries, breaker) already did what
     // it could: park this plan entry and let the run continue, but still
     // evaluate and merge this round's successful candidates so the
     // accounting and the bandit state stay exactly as if the round were
-    // smaller.
+    // smaller. Terminal codes (invalid request, internal bug) abort the
+    // run.
     std::vector<PendingCandidate> candidates;
     candidates.reserve(submissions.size());
     for (PendingGeneration& sub : submissions) {
@@ -322,21 +364,12 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       }
       if (!sub.result->ok()) {
         const util::Status& failure = sub.result->status();
-        if (options_.park_failing_entries &&
-            fm::IsTransportError(failure.code())) {
-          ++report->faults.transport_failures;
-          if (!parked) report->faults.parked_targets.push_back(target);
-          parked = true;
-          if (obs != nullptr) {
-            metrics->fm_parked->Increment();
-            obs->journal.Record(
-                obs::JournalEvent("fm.parked")
-                    .Set("target", FormatTarget(target))
-                    .Set("code", util::StatusCodeName(failure.code())));
-          }
-          continue;
-        }
-        return failure;
+        if (!fm::IsTransportError(failure.code())) return failure;
+        ++report->faults.transport_failures;
+        if (!parked) report->faults.parked_targets.push_back(target);
+        parked = true;
+        instruments.Parked(util::StatusCodeName(failure.code()));
+        continue;
       }
       ++report->queries;
 
@@ -377,35 +410,7 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       // router (BackendPool + LinUCB) must see the same update sequence
       // at every thread count and transport batch size.
       model_->ReportOutcome(c.backend, c.outcome.Passed());
-
-      if (obs != nullptr) {
-        metrics->decision_value->Observe(c.outcome.decision_value);
-        metrics->quality_p->Observe(c.outcome.quality_p_value);
-        if (c.outcome.Passed()) {
-          metrics->accepted->Increment();
-          obs->journal.Record(obs::JournalEvent("tuple.accepted")
-                                  .Set("target", FormatTarget(target))
-                                  .Set("arm", c.choice.arm));
-        } else {
-          metrics->rejected->Increment();
-          const char* reason =
-              !c.outcome.distribution_pass && !c.outcome.quality_pass
-                  ? "both"
-                  : (!c.outcome.distribution_pass ? "distribution"
-                                                  : "quality");
-          if (!c.outcome.distribution_pass && !c.outcome.quality_pass) {
-            metrics->rejected_both->Increment();
-          } else if (!c.outcome.distribution_pass) {
-            metrics->rejected_distribution->Increment();
-          } else {
-            metrics->rejected_quality->Increment();
-          }
-          obs->journal.Record(obs::JournalEvent("tuple.rejected")
-                                  .Set("target", FormatTarget(target))
-                                  .Set("arm", c.choice.arm)
-                                  .Set("reason", reason));
-        }
-      }
+      instruments.Verdict(c.outcome, c.choice.arm);
 
       GenerationRecord record;
       record.target_values = target;
@@ -444,24 +449,7 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
     }
   }
 
-  // Fold this entry's pool activity into the threadpool.* metrics
-  // (unstable across worker counts by nature; obs::IsStableMetric
-  // excludes the whole namespace from the determinism contract).
-  if (obs != nullptr && pool != nullptr) {
-    const util::ThreadPoolStats stats = pool->stats();
-    obs->registry.Counter("threadpool.tasks_submitted")
-        ->Increment(stats.tasks_submitted);
-    obs->registry.Counter("threadpool.parallel_for_calls")
-        ->Increment(stats.parallel_for_calls);
-    obs->registry.Counter("threadpool.chunks_executed")
-        ->Increment(stats.chunks_executed);
-    obs->registry.Gauge("threadpool.workers")
-        ->Set(static_cast<double>(pool->num_threads()));
-    obs::Gauge* depth = obs->registry.Gauge("threadpool.max_queue_depth");
-    if (static_cast<double>(stats.max_queue_depth) > depth->value()) {
-      depth->Set(static_cast<double>(stats.max_queue_depth));
-    }
-  }
+  instruments.FoldPool(pool.get());
   return accepted_here;
 }
 

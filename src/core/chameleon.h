@@ -42,8 +42,9 @@ struct ChameleonOptions {
   RejectionSamplerOptions rejection;
   /// Samples used to estimate p from real tuples before repairing.
   int p_estimation_samples = 500;
-  /// Safety caps: total foundation-model queries, and consecutive
-  /// rejections per plan entry before giving up on it.
+  /// Safety caps: total foundation-model queries, and attempts per plan
+  /// entry — an entry gives up after max_attempts_per_tuple × its count
+  /// attempts in total, accepted or not.
   int64_t max_queries = 50000;
   int64_t max_attempts_per_tuple = 40;
   uint64_t seed = 99;
@@ -57,24 +58,27 @@ struct ChameleonOptions {
   /// bit-identical at every setting — the batch structure and merge
   /// order never depend on the worker count.
   int num_threads = 0;
-  /// Candidates evaluated (embed + rejection tests) per batch of the
-  /// generate→embed→reject loop. 1 (the default) is the exact legacy
-  /// serial loop. Larger batches unlock parallel evaluation but delay
-  /// bandit feedback and corpus growth until the batch's deterministic
-  /// in-order merge, so runs with different batch sizes may diverge;
-  /// runs with different num_threads never do.
+  /// Candidates per round of the generate→embed→reject loop. 1 (the
+  /// default) is the one-query-at-a-time loop: every candidate is merged
+  /// before the next is selected. Larger rounds unlock parallel masks and
+  /// evaluation but delay bandit feedback and corpus growth until the
+  /// round's deterministic in-order merge, so runs with different round
+  /// sizes may diverge; runs with different num_threads never do.
   int rejection_batch = 1;
-  /// Transport batch for foundation-model queries (DESIGN.md §11): how
-  /// many generation requests the BatchCoalescer groups into one
-  /// GenerateBatch dispatch. 0 (the default) follows rejection_batch;
-  /// 1 disables coalescing (every query is its own dispatch, the legacy
-  /// wire shape). Grouping is pure transport: each request owns a forked
-  /// rng stream, so accepted tuples are bit-identical at every setting.
+  /// Transport batch cap for foundation-model queries (DESIGN.md §11):
+  /// every query goes through the BatchCoalescer, which groups up to
+  /// this many into one GenerateBatch dispatch. 0 (the default) follows
+  /// rejection_batch; 1 dispatches each query alone, with no `fm.batch`
+  /// events. Grouping is pure transport: each request owns a forked rng
+  /// stream and every result is handled alike, so accepted tuples and
+  /// parked entries are bit-identical at every setting.
   int fm_batch_size = 0;
   /// Coalescer flush window in virtual milliseconds (the coalescer's own
   /// arrival axis, never a wall clock). A batch also flushes when it
   /// reaches the batch size, and is force-flushed at the end of every
   /// rejection round — results are needed before evaluation can start.
+  /// Arrivals tick 1 ms apart, so the default window caps every
+  /// dispatch at 5 requests (DESIGN.md §11 "Window in practice").
   double batch_window_ms = 5.0;
   /// Router policy for multi-backend models (fm::BackendPool); forwarded
   /// to the model at the start of every run. Single-backend models
@@ -107,13 +111,6 @@ struct ChameleonOptions {
   /// so accepted tuples, reports, and digests are bit-identical to the
   /// default mode. Off by default (the legacy full recompute).
   bool incremental_coverage = false;
-  /// Graceful degradation: when a generation fails with a transport-level
-  /// code (kUnavailable/kDeadlineExceeded/kResourceExhausted — i.e. the
-  /// model's own resilience layer already gave up), park the current plan
-  /// entry and keep working down the plan instead of failing the run.
-  /// Terminal codes (invalid request, internal bug) always abort the run.
-  /// false restores the legacy behaviour: any generation failure is fatal.
-  bool park_failing_entries = true;
 };
 
 /// One generated tuple's audit record: everything the benchmarks need to
@@ -137,12 +134,14 @@ struct GenerationRecord {
 /// own degradation decisions plus a snapshot of the model's transport
 /// telemetry (when the model carries a resilience layer).
 struct FaultSummary {
-  /// Plan entries parked after a persistent transport failure, in plan
-  /// order. A parked entry keeps whatever tuples it accepted before the
-  /// failure; the run continues with the next entry.
+  /// Plan entries parked after a persistent transport failure (the
+  /// model's own resilience layer gave up), in plan order. A parked entry
+  /// keeps every tuple it accepted, the rest of the failing round
+  /// included; the run continues with the next entry. Terminal codes
+  /// (invalid request, internal bug) abort the run instead.
   std::vector<std::vector<int>> parked_targets;
-  /// Generation calls that surfaced a transport error to the pipeline
-  /// (each one parks an entry when park_failing_entries is set).
+  /// Generation results that carried a transport error. Each one parks
+  /// its entry; several in one round park it once.
   int64_t transport_failures = 0;
   /// Cumulative snapshot of the model's fault telemetry at the end of the
   /// run (zeros when the model has no resilience layer).

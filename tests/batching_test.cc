@@ -5,6 +5,8 @@
 // (DESIGN.md §11).
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
@@ -404,7 +406,7 @@ struct PipelineRun {
 };
 
 /// One full repair over a fresh FERET corpus with the given fm transport
-/// batch size (1 = legacy direct path, 0 = follow rejection_batch).
+/// batch size (1 = one query per dispatch, 0 = follow rejection_batch).
 /// When `faults` is set, the model stack is resilient(flaky(simulator))
 /// with a 30% transient rate and a retry budget that masks everything.
 PipelineRun RunBatchedRepair(int fm_batch, int threads, bool faults) {
@@ -461,15 +463,56 @@ void ExpectSameAcceptedTuples(const RepairReport& a, const RepairReport& b) {
   }
 }
 
+/// FNV-1a 64 over what a run accepted, as 16 hex digits: the query and
+/// acceptance counts, then per record its target, embedding, decision
+/// value, quality p-value, arm and verdict (each as 8 little-endian
+/// bytes; doubles by bit pattern).
+std::string ReportDigest(const RepairReport& report) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  auto word = [&hash](uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (w >> (8 * i)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  auto real = [&word](double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    word(bits);
+  };
+  word(static_cast<uint64_t>(report.queries));
+  word(static_cast<uint64_t>(report.accepted));
+  for (const GenerationRecord& r : report.records) {
+    for (int v : r.target_values) word(static_cast<uint64_t>(int64_t{v}));
+    for (double e : r.embedding) real(e);
+    real(r.decision_value);
+    real(r.quality_p_value);
+    word(static_cast<uint64_t>(int64_t{r.arm}));
+    word(r.accepted ? 1 : 0);
+  }
+  char out[17];
+  std::snprintf(out, sizeof(out), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return out;
+}
+
+/// ReportDigest of the fault-free RunBatchedRepair (72 queries, 51
+/// accepted), captured from the one-dispatch-per-query pipeline before
+/// every query went through the coalescer. Every cell of both matrices
+/// below must reproduce it.
+constexpr const char* kReferenceReportDigest = "3b61c5ae14b7fac5";
+
 TEST(BatchingDeterminismTest, AcceptedTuplesBitIdenticalAcrossBatchSizes) {
   // Acceptance criterion: grouping queries into transport batches must
-  // not change a single accepted tuple. Baseline is the legacy direct
-  // path (fm_batch = 1) at one thread; every batched configuration —
+  // not change a single accepted tuple. Baseline is one query per
+  // dispatch (fm_batch = 1) at one thread; every batched configuration —
   // including the follow-rejection_batch default (0) — must match it
-  // bit for bit at every thread count.
+  // bit for bit at every thread count, and all of them must match the
+  // pinned reference digest.
   const PipelineRun baseline =
       RunBatchedRepair(/*fm_batch=*/1, /*threads=*/1, /*faults=*/false);
   ASSERT_GT(baseline.report.accepted, 0);
+  EXPECT_EQ(ReportDigest(baseline.report), kReferenceReportDigest);
 
   for (int fm_batch : {0, 8, 32}) {
     for (int threads : {1, 2, 8}) {
@@ -478,6 +521,7 @@ TEST(BatchingDeterminismTest, AcceptedTuplesBitIdenticalAcrossBatchSizes) {
                    " threads=" + std::to_string(threads));
       ExpectSameAcceptedTuples(baseline.report, run.report);
       EXPECT_EQ(baseline.synthetic, run.synthetic);
+      EXPECT_EQ(ReportDigest(run.report), kReferenceReportDigest);
     }
   }
 }
@@ -497,6 +541,7 @@ TEST(BatchingDeterminismTest, MaskedFaultsPreserveTuplesAtEveryBatchSize) {
                    " threads=" + std::to_string(threads));
       ExpectSameAcceptedTuples(baseline.report, run.report);
       EXPECT_EQ(baseline.synthetic, run.synthetic);
+      EXPECT_EQ(ReportDigest(run.report), kReferenceReportDigest);
       EXPECT_GT(run.report.faults.transport.faults_masked, 0);
       EXPECT_EQ(run.report.faults.transport.failed_queries, 0);
       EXPECT_EQ(run.report.faults.parked_entries(), 0);
@@ -545,43 +590,63 @@ TEST(BatchingDeterminismTest, PoolPipelineIsDeterministicAcrossConfigs) {
 }
 
 TEST(BatchingDeterminismTest, BatchedModeParksPerFailureAndKeepsBatchmates) {
-  // A scripted outage inside a batch (no retry layer) parks the entries
+  // A scripted outage inside a round (no retry layer) parks the entries
   // it hit — one fm.parked increment per failed result — while the OK
-  // results from the same flush are still evaluated and merged.
-  embedding::SimulatedEmbedder embedder;
-  fm::EvaluatorPool evaluators(2024);
-  fm::Corpus corpus =
-      *datasets::MakeFeret(&embedder, datasets::FeretOptions());
-  fm::SimulatedFoundationModel sim(corpus.dataset.schema(),
-                                   datasets::FeretFaceStyleFn(),
-                                   datasets::FeretScene(),
-                                   fm::SimulatedFoundationModel::Options());
-  fm::FlakyOptions flaky;
-  flaky.outage_start = 2;
-  flaky.outage_length = 3;
-  fm::FlakyFoundationModel model(&sim, flaky);
+  // results from the same round are still evaluated and merged. How the
+  // round was split into dispatches does not matter: one query per
+  // dispatch and one batch of 8 give the same report.
+  struct ParkedRun {
+    RepairReport report;
+    int64_t fm_parked = 0;
+    int64_t model_queries = 0;
+  };
+  auto run_outage = [](int fm_batch) {
+    embedding::SimulatedEmbedder embedder;
+    fm::EvaluatorPool evaluators(2024);
+    fm::Corpus corpus =
+        *datasets::MakeFeret(&embedder, datasets::FeretOptions());
+    fm::SimulatedFoundationModel sim(corpus.dataset.schema(),
+                                     datasets::FeretFaceStyleFn(),
+                                     datasets::FeretScene(),
+                                     fm::SimulatedFoundationModel::Options());
+    fm::FlakyOptions flaky;
+    flaky.outage_start = 2;
+    flaky.outage_length = 3;
+    fm::FlakyFoundationModel model(&sim, flaky);
 
-  obs::Observability observability;
-  ChameleonOptions options;
-  options.tau = 40;
-  options.seed = 11;
-  options.rejection_batch = 8;
-  options.fm_batch_size = 8;
-  options.observability = &observability;
-  Chameleon system(&model, &embedder, &evaluators, options);
-  auto report = system.RepairMinLevelMups(&corpus);
-  ASSERT_TRUE(report.ok());
+    obs::Observability observability;
+    ChameleonOptions options;
+    options.tau = 40;
+    options.seed = 11;
+    options.rejection_batch = 8;
+    options.fm_batch_size = fm_batch;
+    options.observability = &observability;
+    Chameleon system(&model, &embedder, &evaluators, options);
+    auto report = system.RepairMinLevelMups(&corpus);
+    EXPECT_TRUE(report.ok());
+    // The outage hit real queries.
+    EXPECT_EQ(model.counters().scripted, 3);
+    return ParkedRun{report.ok() ? *report : RepairReport(),
+                     observability.registry.Counter("fm.parked")->value(),
+                     model.num_queries()};
+  };
 
-  // The outage hit real queries and parked at least one entry...
-  EXPECT_EQ(model.counters().scripted, 3);
-  EXPECT_GE(report->faults.parked_entries(), 1);
-  // ...with one parked count per failed result, not per entry.
-  EXPECT_EQ(observability.registry.Counter("fm.parked")->value(), 3);
-  // The healthy queries sharing those batches still produced tuples.
-  EXPECT_GT(report->accepted, 0);
-  // Pinned accounting identities from the obs layer still hold.
-  EXPECT_EQ(report->queries,
-            static_cast<int64_t>(model.num_queries()) - 3);
+  const ParkedRun single = run_outage(/*fm_batch=*/1);
+  const ParkedRun batched = run_outage(/*fm_batch=*/8);
+  for (const ParkedRun* run : {&single, &batched}) {
+    // At least one entry parked, with one parked count per failed
+    // result, not per entry...
+    EXPECT_GE(run->report.faults.parked_entries(), 1);
+    EXPECT_EQ(run->fm_parked, 3);
+    EXPECT_EQ(run->report.faults.transport_failures, 3);
+    // ...while the healthy queries sharing those rounds still produced
+    // tuples, and the pinned accounting identity still holds.
+    EXPECT_GT(run->report.accepted, 0);
+    EXPECT_EQ(run->report.queries, run->model_queries - 3);
+  }
+  ExpectSameAcceptedTuples(single.report, batched.report);
+  EXPECT_EQ(single.report.faults.parked_targets,
+            batched.report.faults.parked_targets);
 }
 
 }  // namespace

@@ -371,6 +371,63 @@ TEST(DaemonTest, DuplicateRequestIdRejected) {
   EXPECT_EQ(server.daemon().stats().completed, 1);
 }
 
+TEST(ProtocolTest, OutOfRangeIntegerFieldsRejectedNotNarrowed) {
+  // 4294967297 is 2^32 + 1: narrowed to int it would read as 1.
+  const std::string too_big = "4294967297";
+  const std::string too_small = "-4294967297";
+  for (const std::string& value : {too_big, too_small}) {
+    for (const std::string field : {"rejection_batch", "num_threads"}) {
+      SCOPED_TRACE(field + "=" + value);
+      auto parsed = ParseRequestFrame("{\"type\":\"repair\",\"id\":\"r\",\"" +
+                                      field + "\":" + value + "}");
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+    }
+    for (const std::string field :
+         {"max_attempts", "breaker_failure_threshold",
+          "breaker_probe_interval"}) {
+      SCOPED_TRACE("resilience." + field + "=" + value);
+      auto parsed = ParseRequestFrame(
+          "{\"type\":\"repair\",\"id\":\"r\",\"resilience\":{\"" + field +
+          "\":" + value + "}}");
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+    }
+  }
+
+  // In-range values still parse as given.
+  auto parsed = ParseRequestFrame(
+      "{\"type\":\"repair\",\"id\":\"r\",\"rejection_batch\":8,"
+      "\"num_threads\":2,\"resilience\":{\"max_attempts\":5,"
+      "\"breaker_failure_threshold\":7,\"breaker_probe_interval\":3}}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->spec.rejection_batch, 8);
+  EXPECT_EQ(parsed->spec.num_threads, 2);
+  EXPECT_EQ(parsed->spec.resilience.max_attempts, 5);
+  EXPECT_EQ(parsed->spec.resilience.breaker_failure_threshold, 7);
+  EXPECT_EQ(parsed->spec.resilience.breaker_probe_interval, 3);
+}
+
+TEST(ProtocolTest, NumThreadsCappedAtAFixedLimit) {
+  auto with_threads = [](int64_t threads) {
+    return ParseRequestFrame(
+        "{\"type\":\"repair\",\"id\":\"r\",\"rejection_batch\":4,"
+        "\"num_threads\":" +
+        std::to_string(threads) + "}");
+  };
+  for (int64_t threads :
+       {int64_t{0}, int64_t{1}, int64_t{kMaxRequestThreads}}) {
+    auto parsed = with_threads(threads);
+    ASSERT_TRUE(parsed.ok()) << threads << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->spec.num_threads, threads);
+  }
+  for (int64_t threads : {int64_t{kMaxRequestThreads} + 1, int64_t{100000}}) {
+    auto parsed = with_threads(threads);
+    ASSERT_FALSE(parsed.ok()) << threads;
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Admission control and backpressure
 // ---------------------------------------------------------------------------

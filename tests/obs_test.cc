@@ -738,22 +738,38 @@ std::string StableMetricsDigest(const std::vector<obs::MetricSample>& samples) {
   return Fnv1aHex(flat);
 }
 
-// Golden artifacts of one fixed observed repair (FERET, tau 40, seed 11,
-// rejection_batch 8, default fm_batch_size). The thread-count test above
-// only compares runs of one build with each other; these digests pin the
-// journal, trace and stable metrics themselves, so reordering fm.query /
-// fm.batch events or moving work between the serial and parallel stages
-// of a round fails here even when every thread count agrees.
+// Golden artifacts of fixed observed repairs (FERET, tau 40, seed 11,
+// default fm_batch_size) at rejection_batch 1 and 8. The thread-count
+// test above only compares runs of one build with each other; these
+// digests pin the journal, trace and stable metrics themselves, so
+// reordering fm.query / fm.batch events or moving work between the serial
+// and parallel stages of a round fails here even when every thread count
+// agrees. The rejection_batch 1 values were captured from the
+// one-dispatch-per-query pipeline, before every query went through the
+// coalescer.
 TEST(ObsPipelineTest, RejectionBatchRunMatchesGoldenDigests) {
-  for (int threads : {1, 4}) {
-    const ObservedRun run =
-        RunObserved(threads, /*observe=*/true, /*rejection_batch=*/8);
-    EXPECT_EQ(run.report.queries, 72) << threads << " threads";
-    EXPECT_EQ(run.report.accepted, 51) << threads << " threads";
-    EXPECT_EQ(Fnv1aHex(run.journal), "58dcfb96d02adb8a") << threads << " threads";
-    EXPECT_EQ(Fnv1aHex(run.trace), "f487beb9b90380ef") << threads << " threads";
-    EXPECT_EQ(StableMetricsDigest(run.metrics), "9876d78e0995ce8b")
-        << threads << " threads";
+  struct Golden {
+    int rejection_batch;
+    const char* journal;
+    const char* trace;
+    const char* stable_metrics;
+  };
+  const Golden goldens[] = {
+      {1, "0899f8af0331bfb7", "692a083a55d21fe2", "748174441bb4e925"},
+      {8, "58dcfb96d02adb8a", "f487beb9b90380ef", "9876d78e0995ce8b"},
+  };
+  for (const Golden& golden : goldens) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("rejection_batch=" + std::to_string(golden.rejection_batch) +
+                   " threads=" + std::to_string(threads));
+      const ObservedRun run =
+          RunObserved(threads, /*observe=*/true, golden.rejection_batch);
+      EXPECT_EQ(run.report.queries, 72);
+      EXPECT_EQ(run.report.accepted, 51);
+      EXPECT_EQ(Fnv1aHex(run.journal), golden.journal);
+      EXPECT_EQ(Fnv1aHex(run.trace), golden.trace);
+      EXPECT_EQ(StableMetricsDigest(run.metrics), golden.stable_metrics);
+    }
   }
 }
 

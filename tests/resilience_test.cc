@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <deque>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -604,27 +605,56 @@ TEST(PipelineDegradationTest, BriefOutageParksOnlyTheEntryItHit) {
   EXPECT_EQ(run.report.faults.parked_targets[0], run.report.plan[0].values);
 }
 
-TEST(PipelineDegradationTest, LegacyFatalModeStillAvailable) {
-  embedding::SimulatedEmbedder embedder;
-  fm::EvaluatorPool evaluators(2024);
-  fm::Corpus corpus =
-      *datasets::MakeFeret(&embedder, datasets::FeretOptions());
-  fm::SimulatedFoundationModel sim(corpus.dataset.schema(),
-                                   datasets::FeretFaceStyleFn(),
-                                   datasets::FeretScene(),
-                                   fm::SimulatedFoundationModel::Options());
-  fm::FlakyOptions flaky;
-  flaky.fail_from_query = 0;
-  fm::FlakyFoundationModel dead(&sim, flaky);
+/// Delegates to a wrapped model, except that its `fail_call`-th
+/// Generate call (1-based) fails with a terminal InvalidArgument.
+class TerminalFailureModel : public fm::FoundationModel {
+ public:
+  TerminalFailureModel(fm::FoundationModel* wrapped, int64_t fail_call)
+      : wrapped_(wrapped), fail_call_(fail_call) {}
 
-  ChameleonOptions options;
-  options.tau = 40;
-  options.seed = 11;
-  options.park_failing_entries = false;
-  Chameleon system(&dead, &embedder, &evaluators, options);
-  auto report = system.RepairMinLevelMups(&corpus);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), util::StatusCode::kUnavailable);
+  [[nodiscard]] util::Result<fm::GenerationResult> Generate(
+      const fm::GenerationRequest& request, util::Rng* rng) override {
+    RecordQuery();
+    if (num_queries() == fail_call_) {
+      return util::Status::InvalidArgument("malformed generation request");
+    }
+    return wrapped_->Generate(request, rng);
+  }
+
+  double query_cost() const override { return wrapped_->query_cost(); }
+
+ private:
+  fm::FoundationModel* wrapped_;
+  int64_t fail_call_;
+};
+
+TEST(PipelineDegradationTest, TerminalFailureAbortsTheRunAtEveryBatchSize) {
+  // Only transport codes park an entry. A terminal code means the
+  // request itself is wrong, so the run fails with that code whether
+  // the query was dispatched alone or inside a batch.
+  for (int fm_batch : {1, 8}) {
+    SCOPED_TRACE("fm_batch=" + std::to_string(fm_batch));
+    embedding::SimulatedEmbedder embedder;
+    fm::EvaluatorPool evaluators(2024);
+    fm::Corpus corpus =
+        *datasets::MakeFeret(&embedder, datasets::FeretOptions());
+    fm::SimulatedFoundationModel sim(corpus.dataset.schema(),
+                                     datasets::FeretFaceStyleFn(),
+                                     datasets::FeretScene(),
+                                     fm::SimulatedFoundationModel::Options());
+    TerminalFailureModel model(&sim, /*fail_call=*/3);
+
+    ChameleonOptions options;
+    options.tau = 40;
+    options.seed = 11;
+    options.rejection_batch = 8;
+    options.fm_batch_size = fm_batch;
+    Chameleon system(&model, &embedder, &evaluators, options);
+    auto report = system.RepairMinLevelMups(&corpus);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_GE(model.num_queries(), 3);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "src/obs/journal.h"
 #include "tools/obsctl/json.h"
@@ -24,6 +25,23 @@ std::string Quoted(const std::string& text) {
   out += obs::JsonEscape(text);
   out += "\"";
   return out;
+}
+
+/// Reads the optional integer field `key` into `*out`, which keeps its
+/// value when the field is absent or not a number. A number outside
+/// int's range is rejected instead of narrowed: a cast would turn
+/// 4294967297 into 1.
+util::Status ReadIntField(const obsctl::JsonValue& json, const std::string& key,
+                          int* out) {
+  const obsctl::JsonValue* value = json.Find(key);
+  if (value == nullptr || !value->is_number()) return util::Status::Ok();
+  const double number = value->number_value;
+  if (!(number >= std::numeric_limits<int>::min() &&
+        number <= std::numeric_limits<int>::max())) {
+    return util::Status::InvalidArgument(key + " is out of range");
+  }
+  *out = static_cast<int>(number);
+  return util::Status::Ok();
 }
 
 }  // namespace
@@ -147,10 +165,10 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
   spec.seed = static_cast<uint64_t>(
       json->IntOr("seed", static_cast<int64_t>(spec.seed)));
   spec.max_queries = json->IntOr("max_queries", spec.max_queries);
-  spec.rejection_batch = static_cast<int>(
-      json->IntOr("rejection_batch", spec.rejection_batch));
-  spec.num_threads = static_cast<int>(
-      json->IntOr("num_threads", spec.num_threads));
+  CHAMELEON_RETURN_NOT_OK(
+      ReadIntField(*json, "rejection_batch", &spec.rejection_batch));
+  CHAMELEON_RETURN_NOT_OK(
+      ReadIntField(*json, "num_threads", &spec.num_threads));
   spec.deadline_ms = json->NumberOr("deadline_ms", spec.deadline_ms);
   spec.incremental = json->BoolOr("incremental", spec.incremental);
   if (spec.tau <= 0) {
@@ -162,8 +180,10 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
   if (spec.rejection_batch < 1) {
     return util::Status::InvalidArgument("rejection_batch must be >= 1");
   }
-  if (spec.num_threads < 0) {
-    return util::Status::InvalidArgument("num_threads must be >= 0");
+  if (spec.num_threads < 0 || spec.num_threads > kMaxRequestThreads) {
+    return util::Status::InvalidArgument(
+        "num_threads must be in [0, " + std::to_string(kMaxRequestThreads) +
+        "]");
   }
   if (spec.deadline_ms < 0.0) {
     return util::Status::InvalidArgument("deadline_ms must be >= 0");
@@ -193,15 +213,15 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
     fm::ResilienceOptions& r = spec.resilience;
     r.seed = static_cast<uint64_t>(
         res->IntOr("seed", static_cast<int64_t>(r.seed)));
-    r.max_attempts = static_cast<int>(
-        res->IntOr("max_attempts", r.max_attempts));
+    CHAMELEON_RETURN_NOT_OK(
+        ReadIntField(*res, "max_attempts", &r.max_attempts));
     r.backoff_base_ms = res->NumberOr("backoff_base_ms", r.backoff_base_ms);
     r.backoff_max_ms = res->NumberOr("backoff_max_ms", r.backoff_max_ms);
     r.attempt_cost_ms = res->NumberOr("attempt_cost_ms", r.attempt_cost_ms);
-    r.breaker_failure_threshold = static_cast<int>(res->IntOr(
-        "breaker_failure_threshold", r.breaker_failure_threshold));
-    r.breaker_probe_interval = static_cast<int>(
-        res->IntOr("breaker_probe_interval", r.breaker_probe_interval));
+    CHAMELEON_RETURN_NOT_OK(ReadIntField(*res, "breaker_failure_threshold",
+                                         &r.breaker_failure_threshold));
+    CHAMELEON_RETURN_NOT_OK(ReadIntField(*res, "breaker_probe_interval",
+                                         &r.breaker_probe_interval));
   }
 
   return frame;

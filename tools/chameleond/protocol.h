@@ -20,6 +20,13 @@ enum class DatasetKind { kMicro, kFeret, kUtkFace };
 
 const char* DatasetKindName(DatasetKind kind);
 
+/// Upper bound on a request's `num_threads`. Each repair builds a worker
+/// pool of that size per plan entry, so the wire must not be able to ask
+/// for an arbitrary number of threads. Fixed, not derived from the host,
+/// so a frame is accepted or rejected the same way everywhere; 0 (the
+/// host's hardware concurrency) stays allowed.
+inline constexpr int kMaxRequestThreads = 64;
+
 /// One repair request, as carried by a `repair` frame. Every field has a
 /// safe default, so a minimal frame is `{"type":"repair","id":"r1"}`.
 struct RepairRequestSpec {
@@ -30,7 +37,7 @@ struct RepairRequestSpec {
   uint64_t seed = 11;
   int64_t max_queries = 50000;
   int rejection_batch = 4;
-  int num_threads = 1;
+  int num_threads = 1;  ///< 0 = host concurrency; <= kMaxRequestThreads
   /// Per-request virtual-time budget (fm::Deadline); 0 = unlimited.
   double deadline_ms = 0.0;
   /// Streaming-corpus mode (DESIGN.md §14): the repair adopts a warm

@@ -47,10 +47,12 @@ run_job() {
 }
 
 # Fault-injection gate: the resilience suite (flaky/resilient decorators,
-# graceful pipeline degradation, corpus-corruption handling) under
-# ASan/UBSan, where a mis-handled fault path shows up as a real error
-# rather than flaky behaviour. The TSan job above covers the atomic query
-# counter via the same suite at full breadth.
+# graceful pipeline degradation, corpus-corruption handling) and the
+# batching suite (the pipeline parks failed results through the
+# coalescer at every batch size) under ASan/UBSan, where a mis-handled
+# fault path shows up as a real error rather than flaky behaviour. The
+# TSan job above covers the atomic query counter via the same suite at
+# full breadth.
 run_faults() {
   local dir="build-ci-faults"
   local flags="-fsanitize=address,undefined -fno-omit-frame-pointer"
@@ -60,10 +62,12 @@ run_faults() {
     -DCHAMELEON_WERROR=ON \
     -DCMAKE_CXX_FLAGS="${flags}" \
     -DCMAKE_EXE_LINKER_FLAGS="${flags}" >/dev/null
-  echo "==== [faults] build resilience + fm tests ===="
-  cmake --build "${dir}" -j "${PARALLEL}" --target resilience_test fm_test
-  echo "==== [faults] ctest (resilience_test, fm_test) ===="
-  ctest --test-dir "${dir}" --output-on-failure -R '^(resilience_test|fm_test)$'
+  echo "==== [faults] build resilience + fm + batching tests ===="
+  cmake --build "${dir}" -j "${PARALLEL}" \
+    --target resilience_test fm_test batching_test
+  echo "==== [faults] ctest (resilience_test, fm_test, batching_test) ===="
+  ctest --test-dir "${dir}" --output-on-failure \
+    -R '^(resilience_test|fm_test|batching_test)$'
 }
 
 # Serving-layer gate: the chameleond chaos harness (frame corruption,
