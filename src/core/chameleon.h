@@ -232,12 +232,6 @@ class Chameleon {
     incremental_index_ = std::move(index);
   }
 
-  /// The maintained index, or null before the first incremental repair.
-  /// Exposed so tests can check it against a fresh FindMups.
-  const coverage::IncrementalMupIndex* incremental_index() const {
-    return incremental_index_.has_value() ? &*incremental_index_ : nullptr;
-  }
-
  private:
   fm::FoundationModel* model_;
   const embedding::Embedder* embedder_;

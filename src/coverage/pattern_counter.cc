@@ -76,33 +76,4 @@ int64_t PatternCounter::Count(const data::Pattern& pattern) const {
   return count;
 }
 
-std::vector<int64_t> PatternCounter::Matching(
-    const data::Pattern& pattern) const {
-  std::vector<const std::vector<int64_t>*> lists;
-  for (int a = 0; a < pattern.num_attributes(); ++a) {
-    if (pattern.IsSpecified(a)) {
-      lists.push_back(&Postings(a, pattern.cell(a)));
-    }
-  }
-  std::vector<int64_t> result;
-  if (lists.empty()) {
-    result.resize(num_tuples_);
-    for (int64_t i = 0; i < num_tuples_; ++i) result[i] = i;
-    return result;
-  }
-  std::sort(lists.begin(), lists.end(),
-            [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  for (int64_t id : *lists[0]) {
-    bool in_all = true;
-    for (size_t l = 1; l < lists.size(); ++l) {
-      if (!std::binary_search(lists[l]->begin(), lists[l]->end(), id)) {
-        in_all = false;
-        break;
-      }
-    }
-    if (in_all) result.push_back(id);
-  }
-  return result;
-}
-
 }  // namespace chameleon::coverage

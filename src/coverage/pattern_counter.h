@@ -42,9 +42,6 @@ class PatternCounter {
   /// |D ∩ P|.
   int64_t Count(const data::Pattern& pattern) const;
 
-  /// Ids of tuples matching the pattern (ascending).
-  std::vector<int64_t> Matching(const data::Pattern& pattern) const;
-
  private:
   const std::vector<int64_t>& Postings(int attribute, int value) const;
 

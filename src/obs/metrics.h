@@ -119,10 +119,10 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  obs::Counter* Counter(const std::string& name);
-  obs::Gauge* Gauge(const std::string& name);
-  obs::Histogram* Histogram(const std::string& name,
-                            const std::vector<double>& bounds);
+  [[nodiscard]] obs::Counter* Counter(const std::string& name);
+  [[nodiscard]] obs::Gauge* Gauge(const std::string& name);
+  [[nodiscard]] obs::Histogram* Histogram(const std::string& name,
+                                          const std::vector<double>& bounds);
 
   /// All metrics, sorted by name.
   std::vector<MetricSample> Snapshot() const;

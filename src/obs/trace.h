@@ -34,8 +34,8 @@ struct SpanRecord {
 
 /// RAII handle returned by Tracer::StartSpan: ends the span on
 /// destruction (or at an explicit End()). Movable, not copyable.
-/// Discarding the returned Span ends it immediately — chameleon-lint
-/// flags a discarded StartSpan call for exactly that reason.
+/// Discarding the returned Span ends it immediately, so the class is
+/// [[nodiscard]] and a discarded StartSpan call fails the -Werror build.
 class [[nodiscard]] Span {
  public:
   Span(Span&& other) noexcept : tracer_(other.tracer_), id_(other.id_) {

@@ -1,5 +1,3 @@
-#include <algorithm>
-
 #include "gtest/gtest.h"
 #include "src/coverage/mup_finder.h"
 #include "src/coverage/pattern_counter.h"
@@ -69,20 +67,6 @@ TEST(PatternCounterTest, MatchesLinearScan) {
     }
     EXPECT_EQ(counter.Count(pattern), dataset.CountMatching(pattern))
         << pattern.ToString();
-  }
-}
-
-TEST(PatternCounterTest, MatchingReturnsSortedIds) {
-  const auto schema = BinarySchema(3);
-  const auto dataset = RandomDataset(schema, 100, 9);
-  const auto counter = *PatternCounter::FromDataset(dataset);
-  const data::Pattern pattern({1, data::Pattern::kUnspecified,
-                               data::Pattern::kUnspecified});
-  const auto ids = counter.Matching(pattern);
-  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-  EXPECT_EQ(static_cast<int64_t>(ids.size()), counter.Count(pattern));
-  for (int64_t id : ids) {
-    EXPECT_TRUE(pattern.Matches(dataset.tuple(id).values));
   }
 }
 

@@ -226,6 +226,15 @@ std::string DirectMicroDigest(const RepairRequestSpec& spec) {
   return report.ok() ? ReportDigest(*report) : "";
 }
 
+/// `prefix` followed by `i`, e.g. "r3". Built by append: GCC 12's
+/// -Wrestrict misfires on the `"literal" + std::to_string(i)` form in
+/// optimized builds (GCC PR105651).
+std::string NumberedId(const char* prefix, int i) {
+  std::string id = prefix;
+  id += std::to_string(i);
+  return id;
+}
+
 RepairRequestSpec MicroSpec(const std::string& id) {
   RepairRequestSpec spec;
   spec.id = id;
@@ -616,15 +625,15 @@ TEST(DaemonTest, FlakyTransportChaosEightConcurrent) {
   std::thread thread([&] { serve_status = daemon.Serve(); });
 
   for (int i = 0; i < 8; ++i) {
-    RepairRequestSpec spec = MaskedFaultSpec("r" + std::to_string(i));
-    spec.client = "c" + std::to_string(i);
+    RepairRequestSpec spec = MaskedFaultSpec(NumberedId("r", i));
+    spec.client = NumberedId("c", i);
     SendPayload(pipe.client(), RenderRepairRequest(spec));
   }
   std::map<std::string, obsctl::JsonValue> reports =
       CollectReports(pipe.client(), 8);
   ASSERT_EQ(reports.size(), 8u);
   for (int i = 0; i < 8; ++i) {
-    const std::string id = "r" + std::to_string(i);
+    const std::string id = NumberedId("r", i);
     ASSERT_TRUE(reports.count(id)) << "no report for " << id;
     // Full isolation: every request masks its own faults and lands on
     // the clean digest, regardless of scheduling and transport chaos.
@@ -942,7 +951,7 @@ TEST(DaemonTest, ConcurrentFirstRequestsShareOneWorldBuild) {
   constexpr int kRequests = 8;
   for (int i = 0; i < kRequests; ++i) {
     SendPayload(server.client(),
-                RenderRepairRequest(MicroSpec("c" + std::to_string(i))));
+                RenderRepairRequest(MicroSpec(NumberedId("c", i))));
   }
   const auto reports = CollectReports(server.client(), kRequests);
   ASSERT_EQ(reports.size(), static_cast<size_t>(kRequests));
@@ -1100,8 +1109,8 @@ TEST(DaemonTest, StatsAndStatuszServedUnderChaos) {
   std::thread thread([&] { serve_status = daemon.Serve(); });
 
   for (int i = 0; i < 4; ++i) {
-    RepairRequestSpec spec = MaskedFaultSpec("s" + std::to_string(i));
-    spec.client = "c" + std::to_string(i);
+    RepairRequestSpec spec = MaskedFaultSpec(NumberedId("s", i));
+    spec.client = NumberedId("c", i);
     SendPayload(pipe.client(), RenderRepairRequest(spec));
   }
   // statusz answers live while repairs are still in flight.

@@ -1,16 +1,20 @@
 // chameleon-lint: project-invariant static analyzer for the Chameleon
 // tree. Enforces, as named and suppressible rules, the invariants the
-// compiler cannot see: Status discipline, determinism (leaf uses and
-// call-graph taint), concurrency hygiene, lock discipline, lock-order
-// acyclicity, and header hygiene. See DESIGN.md "Static analysis &
-// invariants" and "Cross-TU analysis".
+// compiler cannot see: determinism (leaf uses and call-graph taint),
+// concurrency hygiene, lock discipline, lock-order acyclicity, and
+// header hygiene. Status discipline is the compiler's job: Status,
+// Result, Span and the handle-returning APIs are [[nodiscard]] and CI
+// builds with -Werror. See DESIGN.md "Static analysis & invariants" and
+// "Cross-TU analysis".
 //
 // Usage:
 //   chameleon-lint [--root=DIR] [--disable=rule,...] [--list-rules]
 //                  [--jobs=N] [--sarif=FILE] [--baseline=FILE]
 //                  [--write-baseline=FILE] [--fix] [paths]
 //
-// With no paths, lints src/ and tests/ under --root (default: cwd).
+// With no paths, lints the project's linted set (kDefaultPaths below)
+// under --root (default: cwd); the ctests and `tools/ci.sh lint` all
+// use it, so the set is defined once, here.
 // Output is machine-friendly: `file:line:col: [chameleon-rule] message`,
 // byte-identical at every --jobs value. Exit codes: 0 clean, 1 findings,
 // 2 usage/IO error.
@@ -20,6 +24,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -64,6 +69,12 @@ bool WriteFile(const fs::path& path, const std::string& content) {
   out << content;
   return static_cast<bool>(out);
 }
+
+/// The tree chameleon-lint keeps at zero findings.
+const char* const kDefaultPaths[] = {
+    "src",          "tests",           "tools/analyzer",
+    "tools/obsctl", "tools/chameleond", "tools/chameleon_cli.cc",
+    "bench",        "examples"};
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -144,7 +155,7 @@ int main(int argc, char** argv) {
     inputs.push_back(arg);
   }
   if (inputs.empty()) {
-    inputs = {"src", "tests"};
+    inputs.assign(std::begin(kDefaultPaths), std::end(kDefaultPaths));
   }
 
   if (!baseline_path.empty()) {

@@ -57,20 +57,15 @@ EngineResult AnalyzeSources(std::vector<SourceFile> files,
   IndexOptions index_options;
   index_options.determinism_allowlist = options.lint.determinism_allowlist;
 
-  // Pass 1 (parallel): lex, per-file registry, per-file index.
+  // Pass 1 (parallel): lex and per-file index.
   std::vector<LexResult> lexes(n);
-  std::vector<FunctionRegistry> registries(n);
   std::vector<FileIndex> indices(n);
   RunIndexed(options.jobs, n, [&](size_t i) {
     lexes[i] = Lex(files[i].source);
-    CollectFunctions(lexes[i], &registries[i]);
     indices[i] = BuildFileIndex(files[i].path, lexes[i], index_options);
   });
 
-  // Serial merge: the cross-file registry and the tree index.
-  FunctionRegistry registry;
-  if (options.seed_project_apis) SeedProjectStatusApis(&registry);
-  for (const FunctionRegistry& r : registries) registry.Merge(r);
+  // Serial merge: the tree index.
   std::vector<const FileIndex*> index_ptrs;
   index_ptrs.reserve(n);
   for (const FileIndex& index : indices) index_ptrs.push_back(&index);
@@ -79,8 +74,7 @@ EngineResult AnalyzeSources(std::vector<SourceFile> files,
   // Pass 2 (parallel): per-file rules into per-file slots.
   std::vector<std::vector<Finding>> slots(n);
   RunIndexed(options.jobs, n, [&](size_t i) {
-    slots[i] = LintFile(files[i].path, files[i].source, lexes[i], registry,
-                        options.lint);
+    slots[i] = LintFile(files[i].path, files[i].source, lexes[i], options.lint);
     if (!options.lint.IsDisabled("lock-discipline")) {
       CheckLockDiscipline(files[i].path, lexes[i], indices[i], tree,
                           &slots[i]);
@@ -180,71 +174,41 @@ std::vector<std::string> SplitLines(const std::string& source) {
 std::string ApplyFixes(const std::string& path, const std::string& source,
                        const std::vector<Finding>& findings, size_t* applied) {
   *applied = 0;
-  const Finding* guard_fix = nullptr;
-  std::vector<int> nolint_lines;
-  for (const Finding& finding : findings) {
-    if (finding.file != path) continue;
-    if (finding.fix == FixKind::kRewriteGuard && guard_fix == nullptr) {
-      guard_fix = &finding;
-    } else if (finding.fix == FixKind::kInsertNolint) {
-      nolint_lines.push_back(finding.line);
-    }
-  }
-  if (guard_fix == nullptr && nolint_lines.empty()) return source;
-
-  const bool had_trailing_newline = !source.empty() && source.back() == '\n';
+  const auto guard_fix =
+      std::find_if(findings.begin(), findings.end(), [&](const Finding& f) {
+        return f.file == path && f.fix == FixKind::kRewriteGuard;
+      });
+  if (guard_fix == findings.end()) return source;
+  // The finding only carries a fix when an #ifndef/#define pair exists;
+  // locate it (and the final #endif) from a fresh lex of this source.
+  const LexResult lex = Lex(source);
+  if (lex.directives.size() < 2) return source;
   std::vector<std::string> lines = SplitLines(source);
-
-  if (guard_fix != nullptr) {
-    // The finding only carries a fix when an #ifndef/#define pair exists;
-    // locate it (and the final #endif) from a fresh lex of this source.
-    const LexResult lex = Lex(source);
-    if (lex.directives.size() >= 2) {
-      const std::string& guard = guard_fix->fix_data;
-      const int ifndef_line = lex.directives[0].line;
-      const int define_line = lex.directives[1].line;
-      if (ifndef_line >= 1 && static_cast<size_t>(ifndef_line) <= lines.size() &&
-          define_line >= 1 && static_cast<size_t>(define_line) <= lines.size()) {
-        lines[ifndef_line - 1] = "#ifndef " + guard;
-        lines[define_line - 1] = "#define " + guard;
-        for (size_t i = lines.size(); i > 0; --i) {
-          const std::string& line = lines[i - 1];
-          const size_t start = line.find_first_not_of(" \t");
-          if (start != std::string::npos &&
-              line.compare(start, 6, "#endif") == 0) {
-            lines[i - 1] = "#endif  // " + guard;
-            break;
-          }
-        }
-        ++*applied;
-      }
+  const int ifndef_line = lex.directives[0].line;
+  const int define_line = lex.directives[1].line;
+  if (ifndef_line < 1 || static_cast<size_t>(ifndef_line) > lines.size() ||
+      define_line < 1 || static_cast<size_t>(define_line) > lines.size()) {
+    return source;
+  }
+  const std::string& guard = guard_fix->fix_data;
+  lines[ifndef_line - 1] = "#ifndef " + guard;
+  lines[define_line - 1] = "#define " + guard;
+  for (size_t i = lines.size(); i > 0; --i) {
+    const std::string& line = lines[i - 1];
+    const size_t start = line.find_first_not_of(" \t");
+    if (start != std::string::npos && line.compare(start, 6, "#endif") == 0) {
+      lines[i - 1] = "#endif  // " + guard;
+      break;
     }
   }
-
-  // Insert suppressions bottom-up so earlier line numbers stay valid.
-  std::sort(nolint_lines.begin(), nolint_lines.end());
-  nolint_lines.erase(std::unique(nolint_lines.begin(), nolint_lines.end()),
-                     nolint_lines.end());
-  for (auto it = nolint_lines.rbegin(); it != nolint_lines.rend(); ++it) {
-    const int line = *it;
-    if (line < 1 || static_cast<size_t>(line) > lines.size()) continue;
-    const std::string& target = lines[line - 1];
-    const size_t indent_end = target.find_first_not_of(" \t");
-    const std::string indent =
-        indent_end == std::string::npos ? "" : target.substr(0, indent_end);
-    lines.insert(lines.begin() + (line - 1),
-                 indent +
-                     "// NOLINTNEXTLINE(chameleon-status-discipline) "
-                     "TODO: use this result or delete the call.");
-    ++*applied;
-  }
+  *applied = 1;
 
   std::string out;
   for (const std::string& line : lines) {
     out += line;
     out += '\n';
   }
-  if (!had_trailing_newline && !out.empty()) out.pop_back();
+  if (source.back() != '\n') out.pop_back();
   return out;
 }
 

@@ -26,8 +26,6 @@ struct EngineOptions {
   /// Baseline keys (see BaselineKey) to drop from the result. Dropped
   /// findings are counted, not reported.
   std::set<std::string> baseline;
-  /// Seed the registry with the project's known Status/Result API names.
-  bool seed_project_apis = true;
 };
 
 struct EngineResult {
@@ -58,9 +56,8 @@ std::set<std::string> ParseBaseline(const std::string& text);
 /// Applies the mechanical fixes among `findings` (those carrying a
 /// FixKind other than kNone whose file matches `path`) to `source` and
 /// returns the rewritten text. `*applied` receives the number of edits.
-/// Fixes are idempotent: a rewritten guard matches the convention and a
-/// NOLINTNEXTLINE suppresses the finding, so a second --fix pass finds
-/// nothing to do.
+/// Fixes are idempotent: a rewritten guard matches the convention, so a
+/// second --fix pass finds nothing to do.
 std::string ApplyFixes(const std::string& path, const std::string& source,
                        const std::vector<Finding>& findings, size_t* applied);
 

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 
 namespace chameleon_lint {
@@ -52,223 +51,8 @@ void Emit(const LexResult& lex, std::vector<Finding>* out, Finding finding) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: function registry
-// ---------------------------------------------------------------------------
-
-/// True if the token can be part of a return type spelled before a
-/// function name: identifiers, ::, template angle brackets, pointers,
-/// references.
-bool IsReturnTypeToken(const Token& t) {
-  if (t.kind == TokenKind::kIdentifier) return true;
-  return IsPunct(t, "::") || IsPunct(t, "<") || IsPunct(t, ">") ||
-         IsPunct(t, "*") || IsPunct(t, "&");
-}
-
-}  // namespace
-
-void CollectFunctions(const LexResult& lex, FunctionRegistry* registry) {
-  const std::vector<Token>& toks = lex.tokens;
-  const ScopeMap scopes = ComputeScopeMap(toks);
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier || !IsPunct(toks[i + 1], "("))
-      continue;
-    if (scopes.info[i].in_function ||
-        scopes.info[i].innermost == ScopeKind::kInitializer)
-      continue;
-    const std::string& name = toks[i].text;
-    if (name == "operator") continue;
-    // Walk back over the qualified-name prefix (Type::Name) to its head.
-    size_t head = i;
-    while (head >= 2 && IsPunct(toks[head - 1], "::") &&
-           toks[head - 2].kind == TokenKind::kIdentifier) {
-      head -= 2;
-    }
-    if (head == 0) continue;
-    const Token& prev = toks[head - 1];
-    // A declaration has a return type (or `auto`) directly before the
-    // name; constructors, macro invocations, and expressions do not.
-    if (!IsReturnTypeToken(prev)) continue;
-    if (prev.kind == TokenKind::kIdentifier &&
-        (prev.text == "explicit" || prev.text == "friend" ||
-         prev.text == "new" || prev.text == "delete" || prev.text == "goto" ||
-         prev.text == "return" || prev.text == "case" || prev.text == "co_return" ||
-         prev.text == "throw" || prev.text == "sizeof")) {
-      continue;
-    }
-    // Scan the contiguous return-type run backwards for Status/Result.
-    bool is_status = false;
-    size_t j = head;
-    while (j > 0 && IsReturnTypeToken(toks[j - 1])) {
-      --j;
-      if (toks[j].kind == TokenKind::kIdentifier &&
-          (toks[j].text == "Status" || toks[j].text == "Result")) {
-        is_status = true;
-      }
-    }
-    if (is_status) {
-      registry->status_returning.insert(name);
-    } else {
-      registry->other_returning.insert(name);
-    }
-  }
-}
-
-void SeedProjectStatusApis(FunctionRegistry* registry) {
-  // The project's cross-module Status/Result surface, including the
-  // fault-tolerant foundation-model client (FoundationModel::Generate and
-  // its Flaky/Resilient decorators). Keep this list of names unambiguous
-  // in the live tree: a colliding non-Status declaration silences the
-  // rule for that name.
-  static const char* const kKnownStatusApis[] = {
-      "Generate",           // FoundationModel + Flaky/Resilient decorators
-      "GenerateAccepted",   // core::Chameleon
-      "RepairMinLevelMups", // core::Chameleon
-      "Enqueue",            // fm::BatchCoalescer
-      "Flush",              // fm::BatchCoalescer — a dropped flush status
-                            // silently loses the whole batch's failures
-      "FromDataset",        // coverage::PatternCounter + IncrementalMupIndex
-      "AddTuple",           // coverage::PatternCounter
-      "Insert",             // coverage::IncrementalMupIndex — a dropped
-                            // status means the frontier and the corpus
-                            // silently disagree from then on
-      "InsertBatch",        // coverage::IncrementalMupIndex
-      "LoadCorpus",         // fm corpus persistence
-      "SaveCorpus",
-      "Write",              // obs Registry/Tracer/Journal file export
-      "WriteOpenMetrics",   // obs exporters (export.h)
-      "WriteTraceEvents",
-      "WriteJson",          // bench::BenchJsonReport
-      "StreamTo",           // obs Journal/Tracer streaming sinks
-      "CloseStream",
-      // The chameleond serving layer (tools/chameleond). "Submit" also
-      // names util::ThreadPool::Submit (future<void>, discardable), but
-      // the scan sees that declaration and the name drops out as
-      // ambiguous — seeding it still covers TUs that only see daemon.h.
-      "Serve",              // daemon::Daemon — the whole serve loop
-      "Submit",             // daemon::Daemon admission control
-      "Cancel",             // daemon::Daemon — NotFound is meaningful
-      "Drain",              // daemon::Daemon — a dropped drain status
-                            // hides a forced (cancelled-straggler) exit
-      "Resume",             // daemon::Daemon journal recovery
-      "WriteFrame",         // daemon frame codec
-  };
-  for (const char* name : kKnownStatusApis) {
-    registry->status_returning.insert(name);
-  }
-  // The observability layer's handle-returning surface: the return value
-  // is the whole point of the call, so a discarded call is a bug even
-  // though the return type is not Status/Result.
-  static const char* const kKnownMustUseApis[] = {
-      "GenerateBatch",  // fm — dropping the results loses every slot's
-                        // answer (and any per-request failures) at once
-      "StartSpan",  // obs::Tracer — discarding the Span ends it immediately
-      "Counter",    // obs::Registry — instrument lookups
-      "Gauge",
-      "Histogram",
-      "ExportOpenMetrics",  // obs exporters: the string IS the result
-      "ExportTraceEvents",
-      "Mups",  // coverage::IncrementalMupIndex — the maintained frontier
-               // is the only product of the index; a bare call is dead
-  };
-  for (const char* name : kKnownMustUseApis) {
-    registry->must_use.insert(name);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Pass 2: rules
 // ---------------------------------------------------------------------------
-
-namespace {
-
-void CheckStatusDiscipline(const std::string& path, const LexResult& lex,
-                           const ScopeMap& scopes,
-                           const FunctionRegistry& registry,
-                           std::vector<Finding>* out) {
-  const std::vector<Token>& toks = lex.tokens;
-  static const std::set<std::string> kStatementKeywords = {
-      "return", "co_return", "co_yield", "co_await", "throw",  "delete",
-      "goto",   "break",     "continue", "case",     "default", "using",
-      "typedef", "template", "if",       "for",      "while",  "do",
-      "switch", "else",      "new",      "public",   "private", "protected"};
-
-  std::set<size_t> stmt_starts;
-  // Statement boundaries: after ; { } inside functions, after else/do,
-  // and after the closing paren of a control-flow header.
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (IsPunct(toks[i], ";") || IsPunct(toks[i], "{") ||
-        IsPunct(toks[i], "}") || IsIdent(toks[i], "else") ||
-        IsIdent(toks[i], "do")) {
-      stmt_starts.insert(i + 1);
-    }
-    if (IsPunct(toks[i], "(") && i > 0 &&
-        (IsIdent(toks[i - 1], "if") || IsIdent(toks[i - 1], "while") ||
-         IsIdent(toks[i - 1], "for") || IsIdent(toks[i - 1], "switch"))) {
-      const size_t close = MatchParen(toks, i);
-      if (close != std::string::npos) stmt_starts.insert(close + 1);
-    }
-  }
-
-  for (size_t s : stmt_starts) {
-    if (s >= toks.size()) continue;
-    if (!scopes.info[s].in_function) continue;
-    if (toks[s].kind != TokenKind::kIdentifier) continue;
-    if (kStatementKeywords.count(toks[s].text) > 0) continue;
-    // Parse a call chain: name(...)  obj.name(...)  ns::obj->name(...)
-    // chained through member access on call results. The statement is a
-    // *discard* when the final token after the last call is ';'.
-    size_t k = s;
-    std::string callee = toks[k].text;
-    while (true) {
-      if (k + 1 >= toks.size()) { callee.clear(); break; }
-      const Token& next = toks[k + 1];
-      if (IsPunct(next, "::") || IsPunct(next, ".") || IsPunct(next, "->")) {
-        if (k + 2 >= toks.size() ||
-            toks[k + 2].kind != TokenKind::kIdentifier) {
-          callee.clear();
-          break;
-        }
-        callee = toks[k + 2].text;
-        k += 2;
-        continue;
-      }
-      if (IsPunct(next, "(")) {
-        const size_t close = MatchParen(toks, k + 1);
-        if (close == std::string::npos || close + 1 >= toks.size()) {
-          callee.clear();
-          break;
-        }
-        const Token& after = toks[close + 1];
-        if (IsPunct(after, ";")) break;  // bare call statement: `callee` set
-        if (IsPunct(after, ".") || IsPunct(after, "->")) {
-          k = close;  // chain continues on the call result
-          continue;
-        }
-        callee.clear();  // call is a subexpression of something larger
-        break;
-      }
-      callee.clear();  // declaration, assignment, arithmetic, ...
-      break;
-    }
-    if (callee.empty()) continue;
-    if (registry.IsMustUse(callee)) {
-      Emit(lex, out,
-           {path, toks[s].line, toks[s].col, "status-discipline",
-            "result of '" + callee +
-                "' is discarded; the returned handle is the product of the "
-                "call (a discarded Span ends immediately, a discarded "
-                "instrument pointer records nothing)",
-            FixKind::kInsertNolint, ""});
-      continue;
-    }
-    if (!registry.IsUnambiguousStatus(callee)) continue;
-    Emit(lex, out,
-         {path, toks[s].line, toks[s].col, "status-discipline",
-          "result of Status/Result-returning '" + callee +
-              "' is discarded; check it, propagate it, or cast to (void) "
-              "with a comment explaining why failure is ignorable"});
-  }
-}
 
 void CheckDeterminism(const std::string& path, const LexResult& lex,
                       const LintOptions& options, std::vector<Finding>* out) {
@@ -497,9 +281,6 @@ void CheckHeaderHygiene(const std::string& path, const LexResult& lex,
 
 const std::vector<RuleInfo>& Rules() {
   static const std::vector<RuleInfo> kRules = {
-      {"status-discipline",
-       "calls to Status/Result-returning functions must not discard the "
-       "result"},
       {"determinism",
        "bans rand()/srand/std::random_device/time(nullptr) seeds and argless "
        "clock ::now() outside util/stopwatch and bench code"},
@@ -779,13 +560,9 @@ std::string FormatFinding(const Finding& finding) {
 
 std::vector<Finding> LintFile(const std::string& path,
                               const std::string& source, const LexResult& lex,
-                              const FunctionRegistry& registry,
                               const LintOptions& options) {
   std::vector<Finding> out;
   const ScopeMap scopes = ComputeScopeMap(lex.tokens);
-  if (!options.IsDisabled("status-discipline")) {
-    CheckStatusDiscipline(path, lex, scopes, registry, &out);
-  }
   if (!options.IsDisabled("determinism")) {
     CheckDeterminism(path, lex, options, &out);
   }

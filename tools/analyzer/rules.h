@@ -12,18 +12,14 @@
 
 namespace chameleon_lint {
 
-/// Mechanical remediation attached to a finding (--fix mode). Only two
-/// finding shapes are safely auto-fixable; everything else needs a
-/// human.
+/// Mechanical remediation attached to a finding (--fix mode). Only one
+/// finding shape is safely auto-fixable; everything else needs a human.
 enum class FixKind {
   kNone,
   /// Header guard exists but names the wrong symbol: rewrite the
   /// #ifndef/#define pair (and the trailing #endif comment) to
   /// `fix_data`.
   kRewriteGuard,
-  /// Discarded must-use handle: insert a NOLINTNEXTLINE suppression
-  /// with a TODO above the statement.
-  kInsertNolint,
 };
 
 /// One diagnostic. `rule` is the bare rule name (no "chameleon-" prefix);
@@ -60,56 +56,13 @@ struct Finding {
 std::string FormatFinding(const Finding& finding);
 
 struct RuleInfo {
-  const char* name;  // bare name, e.g. "status-discipline"
+  const char* name;  // bare name, e.g. "determinism"
   const char* description;
 };
 
 /// All rules, in reporting order. Used by --list-rules, --disable
 /// validation, and the SARIF rules table.
 const std::vector<RuleInfo>& Rules();
-
-/// Name-indexed knowledge about functions declared across the scanned
-/// tree. chameleon-lint has no type resolution, so a name declared both
-/// with a Status/Result return and with some other return type is
-/// *ambiguous* and never flagged; keeping project APIs unambiguous is
-/// itself part of the discipline (see DESIGN.md).
-struct FunctionRegistry {
-  std::set<std::string> status_returning;
-  std::set<std::string> other_returning;
-  /// Names whose return value *is* the product of the call — RAII handles
-  /// and registry lookups (obs::Tracer::StartSpan, obs::Registry's
-  /// Counter/Gauge/Histogram). Discarding one is flagged regardless of the
-  /// status/other ambiguity machinery: a discarded Span ends immediately,
-  /// and a discarded instrument pointer records nothing.
-  std::set<std::string> must_use;
-
-  bool IsUnambiguousStatus(const std::string& name) const {
-    return status_returning.count(name) > 0 && other_returning.count(name) == 0;
-  }
-  bool IsMustUse(const std::string& name) const {
-    return must_use.count(name) > 0;
-  }
-
-  void Merge(const FunctionRegistry& other) {
-    status_returning.insert(other.status_returning.begin(),
-                            other.status_returning.end());
-    other_returning.insert(other.other_returning.begin(),
-                           other.other_returning.end());
-    must_use.insert(other.must_use.begin(), other.must_use.end());
-  }
-};
-
-/// Pass 1: records every function declaration/definition at namespace or
-/// class scope into `registry`, split by whether the return type mentions
-/// Status/Result.
-void CollectFunctions(const LexResult& lex, FunctionRegistry* registry);
-
-/// Seeds the registry with the project's known Status/Result-returning
-/// API names (the foundation-model resilience surface among them), so a
-/// discarded call is flagged even in a translation unit that never sees
-/// the declaration. Names that the scan later also finds with a
-/// non-Status return become ambiguous and drop out, as usual.
-void SeedProjectStatusApis(FunctionRegistry* registry);
 
 struct LintOptions {
   /// Bare rule names to skip (accepts the "chameleon-" prefix too).
@@ -127,12 +80,11 @@ struct LintOptions {
   }
 };
 
-/// Pass 2 (per-file, lexical): runs the four file-local rules over one
+/// Pass 2 (per-file, lexical): runs the three file-local rules over one
 /// file. `path` must be the repo-relative, '/'-separated path —
 /// header-guard expectations and the determinism allowlist key off it.
 std::vector<Finding> LintFile(const std::string& path,
                               const std::string& source, const LexResult& lex,
-                              const FunctionRegistry& registry,
                               const LintOptions& options);
 
 /// Pass 2 (per-file, cross-TU): chameleon-lock-discipline. Flags

@@ -3,7 +3,7 @@
 # configuration, plus the chameleon-lint static-analysis gate. Usage:
 #
 #   tools/ci.sh            # all jobs
-#   tools/ci.sh lint       # chameleon-lint over src/, tests/, tools/
+#   tools/ci.sh lint       # chameleon-lint + the [[nodiscard]] compile gate
 #   tools/ci.sh asan       # Debug + AddressSanitizer + UBSan only
 #   tools/ci.sh tsan       # RelWithDebInfo + ThreadSanitizer only
 #   tools/ci.sh faults     # fault-injection/resilience suite under ASan/UBSan
@@ -153,8 +153,10 @@ run_daemon_scrape() {
 
 # Builds only the linter and runs it over the tree (all rules, the
 # committed baseline, full parallelism); exits nonzero on any finding.
-# Emits the SARIF log as ${dir}/lint.sarif for CI annotation upload.
-# Cheaper than a full test run, so it leads the `all` sequence.
+# Emits the SARIF log as ${dir}/lint.sarif for CI annotation upload, then
+# runs the `lint`-labelled ctests (self-host and the [[nodiscard]]
+# compile gate). Cheaper than a full test run, so it leads the `all`
+# sequence.
 run_lint() {
   local dir="build-ci-lint"
   echo "==== [lint] configure (Release) ===="
@@ -163,13 +165,18 @@ run_lint() {
     -DCHAMELEON_WERROR=ON >/dev/null
   echo "==== [lint] build chameleon-lint ===="
   cmake --build "${dir}" -j "${PARALLEL}" --target chameleon-lint
-  echo "==== [lint] chameleon-lint --jobs=${PARALLEL} src tests tools/analyzer tools/obsctl ===="
+  # No path arguments: the linter walks its one default path list
+  # (kDefaultPaths in tools/analyzer/chameleon_lint.cc).
+  echo "==== [lint] chameleon-lint --jobs=${PARALLEL} (default path list) ===="
   "${dir}/tools/analyzer/chameleon-lint" --root=. \
     "--jobs=${PARALLEL}" \
     "--sarif=${dir}/lint.sarif" \
-    --baseline=tools/analyzer/lint-baseline.txt \
-    src tests tools/analyzer tools/obsctl tools/chameleond
+    --baseline=tools/analyzer/lint-baseline.txt
   echo "==== [lint] sarif artifact: ${dir}/lint.sarif ===="
+  # The `lint` ctest label: the linter's self-host gates plus the
+  # compile-only [[nodiscard]] gate, which owns status discipline.
+  echo "==== [lint] ctest -L lint ===="
+  ctest --test-dir "${dir}" --output-on-failure -L lint
 }
 
 # Continuous-benchmark gate: runs the smoke micro-bench set with the
