@@ -1,6 +1,7 @@
 #include "src/core/chameleon.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -201,6 +202,105 @@ class LoopInstruments {
   std::optional<obs::Span> entry_span_;
 };
 
+/// RepairMinLevelMups' only observability touchpoint, built like
+/// LoopInstruments: one method per event, each a no-op without a sink.
+/// Constructing one opens the `repair.run` span and journals `run.start`;
+/// the span ends with the object, after any stage span it handed out.
+class RunInstruments {
+ public:
+  RunInstruments(obs::Observability* obs, int64_t tau, uint64_t seed)
+      : obs_(obs) {
+    if (obs_ == nullptr) return;
+    run_span_.emplace(obs_->tracer.StartSpan("repair.run"));
+    // Deliberately no num_threads / rejection_batch here: the journal of
+    // a fixed configuration must be byte-identical at every thread count.
+    obs_->journal.Record(obs::JournalEvent("run.start")
+                             .Set("tau", tau)
+                             .Set("seed", static_cast<int64_t>(seed)));
+  }
+
+  /// The run's request id (DESIGN.md §15); empty when off or untagged.
+  std::string request_id() const {
+    return obs_ == nullptr ? std::string() : obs_->request_id;
+  }
+
+  /// A stage span (`plan.select`, `sampler.train`); empty when off.
+  std::optional<obs::Span> Stage(const char* name) {
+    if (obs_ == nullptr) return std::nullopt;
+    return obs_->tracer.StartSpan(name);
+  }
+
+  void MinLevel(int level) {
+    if (obs_ == nullptr) return;
+    obs_->registry.Gauge("mup.min_level")->Set(static_cast<double>(level));
+  }
+
+  void Planned(const CombinationPlan& plan) {
+    if (obs_ == nullptr) return;
+    int64_t tuples_required = 0;
+    for (const auto& entry : plan) tuples_required += entry.count;
+    obs_->registry.Gauge("plan.entries")
+        ->Set(static_cast<double>(plan.size()));
+    obs_->registry.Gauge("plan.tuples_required")
+        ->Set(static_cast<double>(tuples_required));
+  }
+
+  void Calibrated(double estimated_p) {
+    if (obs_ == nullptr) return;
+    obs_->registry.Gauge("run.estimated_p")->Set(estimated_p);
+  }
+
+  /// What the model's resilience layer absorbed, as `fm.transport.*`.
+  void Transport(const fm::FaultTelemetry& telemetry) {
+    if (obs_ == nullptr) return;
+    obs::Registry* r = &obs_->registry;
+    r->Gauge("fm.transport.attempts")
+        ->Set(static_cast<double>(telemetry.attempts));
+    r->Gauge("fm.transport.retries")
+        ->Set(static_cast<double>(telemetry.retries));
+    r->Gauge("fm.transport.faults_masked")
+        ->Set(static_cast<double>(telemetry.faults_masked));
+    r->Gauge("fm.transport.malformed_results")
+        ->Set(static_cast<double>(telemetry.malformed_results));
+    r->Gauge("fm.transport.failed_queries")
+        ->Set(static_cast<double>(telemetry.failed_queries));
+    r->Gauge("fm.transport.fail_fast_rejections")
+        ->Set(static_cast<double>(telemetry.fail_fast_rejections));
+    r->Gauge("fm.transport.breaker_opens")
+        ->Set(static_cast<double>(telemetry.breaker_opens));
+    r->Gauge("fm.transport.breaker_reopens")
+        ->Set(static_cast<double>(telemetry.breaker_reopens));
+    r->Gauge("fm.transport.breaker_closes")
+        ->Set(static_cast<double>(telemetry.breaker_closes));
+    r->Gauge("fm.transport.backoff_ms")->Set(telemetry.backoff_ms);
+  }
+
+  /// The run's outcome: the `run.*` gauges and the `run.end` line.
+  void End(const RepairReport& report) {
+    if (obs_ == nullptr) return;
+    obs_->registry.Gauge("run.fully_resolved")
+        ->Set(report.fully_resolved ? 1.0 : 0.0);
+    obs_->registry.Gauge("run.total_cost")->Set(report.total_cost);
+    obs_->journal.Record(obs::JournalEvent("run.end")
+                             .Set("queries", report.queries)
+                             .Set("accepted", report.accepted)
+                             .Set("parked", report.faults.parked_entries())
+                             .Set("fully_resolved", report.fully_resolved));
+  }
+
+ private:
+  obs::Observability* obs_;
+  std::optional<obs::Span> run_span_;
+};
+
+/// a * b, clamped to the int64 range instead of overflowing.
+int64_t SaturatingMul(int64_t a, int64_t b) {
+  int64_t product = 0;
+  if (!__builtin_mul_overflow(a, b, &product)) return product;
+  return (a < 0) != (b < 0) ? std::numeric_limits<int64_t>::min()
+                            : std::numeric_limits<int64_t>::max();
+}
+
 }  // namespace
 
 Chameleon::Chameleon(fm::FoundationModel* model,
@@ -219,7 +319,10 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
   const data::AttributeSchema& schema = corpus->dataset.schema();
   int64_t accepted_here = 0;
   int64_t attempts = 0;
-  const int64_t attempt_cap = options_.max_attempts_per_tuple * count;
+  // Saturating: a huge tau (the wire only checks tau > 0) makes `count`
+  // a huge gap, and INT64_MAX bounds the loop as well as the product.
+  const int64_t attempt_cap =
+      SaturatingMul(options_.max_attempts_per_tuple, count);
   const int64_t batch_limit =
       std::max<int64_t>(1, options_.rejection_batch);
   const int num_threads =
@@ -247,9 +350,6 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
   LoopInstruments instruments(options_.observability, target, count);
 
   bool parked = false;
-  // Accepted values of the current round, replayed into the streaming MUP
-  // index after the merge (incremental_coverage mode only).
-  std::vector<std::vector<int>> merged_accepted;
   while (!parked && accepted_here < count && attempts < attempt_cap &&
          report->queries < options_.max_queries) {
     // Deadline/cancel check at the round boundary: once the request's
@@ -435,17 +535,6 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
                                           c.latent_realism));
       ++report->accepted;
       ++accepted_here;
-      if (incremental_index_.has_value()) merged_accepted.push_back(target);
-    }
-
-    // Patch the maintained MUP frontier with this round's merged batch,
-    // keeping the index in lockstep with the corpus it validated against
-    // (the batch is one InsertBatch: the MUP set is a pure function of
-    // the materialized dataset, so batching is exact).
-    if (!merged_accepted.empty()) {
-      CHAMELEON_RETURN_NOT_OK(
-          incremental_index_->InsertBatch(merged_accepted));
-      merged_accepted.clear();
     }
   }
 
@@ -460,94 +549,32 @@ util::Result<RepairReport> Chameleon::RepairMinLevelMups(fm::Corpus* corpus) {
   model_->OnRunStart();
   model_->set_backend_router(options_.backend_router);
   model_->set_deadline(options_.deadline);
+  model_->set_observability(options_.observability);
+  RunInstruments instruments(options_.observability, options_.tau,
+                             options_.seed);
+  report.request_id = instruments.request_id();
 
-  obs::Observability* const obs = options_.observability;
-  model_->set_observability(obs);
-  if (obs != nullptr) report.request_id = obs->request_id;
-  std::optional<obs::Span> run_span;
-  if (obs != nullptr) {
-    run_span.emplace(obs->tracer.StartSpan("repair.run"));
-    // Deliberately no num_threads / rejection_batch here: the journal of
-    // a fixed configuration must be byte-identical at every thread count.
-    obs->journal.Record(obs::JournalEvent("run.start")
-                            .Set("tau", options_.tau)
-                            .Set("seed", static_cast<int64_t>(options_.seed)));
-  }
-  auto journal_run_end = [&] {
-    if (obs == nullptr) return;
-    obs->registry.Gauge("run.fully_resolved")
-        ->Set(report.fully_resolved ? 1.0 : 0.0);
-    obs->registry.Gauge("run.total_cost")->Set(report.total_cost);
-    obs->journal.Record(obs::JournalEvent("run.end")
-                            .Set("queries", report.queries)
-                            .Set("accepted", report.accepted)
-                            .Set("parked", report.faults.parked_entries())
-                            .Set("fully_resolved", report.fully_resolved));
-  };
-
-  // 1. Detect the minimum-level MUPs: one full lattice traversal by
-  // default, or a consult of the maintained frontier in incremental mode
-  // (DESIGN.md §14 — built on first use or adopted warm, then patched in
-  // place with every merged batch of accepted tuples).
-  std::vector<coverage::Mup> all_mups;
-  if (options_.incremental_coverage) {
-    const bool reusable =
-        incremental_index_.has_value() &&
-        incremental_index_->tau() == options_.tau &&
-        incremental_index_->num_tuples() ==
-            static_cast<int64_t>(corpus->dataset.size()) &&
-        incremental_index_->SchemaMatches(schema);
-    if (!reusable) {
-      coverage::IncrementalMupOptions index_options;
-      index_options.tau = options_.tau;
-      index_options.num_threads = options_.num_threads;
-      auto index = coverage::IncrementalMupIndex::FromDataset(corpus->dataset,
-                                                              index_options);
-      if (!index.ok()) return index.status();
-      incremental_index_ = *std::move(index);
-    }
-    // From here the index observes into this run's registry — a warm
-    // clone must not keep reporting to the request it was built under.
-    incremental_index_->set_observability(obs);
-    all_mups = incremental_index_->Mups();
-    if (obs != nullptr) {
-      // Mirror FindMups' recording so dashboards read the same signals
-      // in either mode (mup.count_queries aside: a consult issues none).
-      obs->registry.Counter("mup.found")->Increment(
-          static_cast<int64_t>(all_mups.size()));
-      for (const coverage::Mup& mup : all_mups) {
-        obs->journal.Record(obs::JournalEvent("mup.found")
-                                .Set("pattern", mup.pattern.ToString())
-                                .Set("count", mup.count)
-                                .Set("gap", mup.gap));
-      }
-    }
-  } else {
-    auto counter = coverage::PatternCounter::FromDataset(corpus->dataset);
-    if (!counter.ok()) return counter.status();
-    coverage::MupFinder finder(schema, *counter);
-    coverage::MupFinderOptions mup_options;
-    mup_options.tau = options_.tau;
-    mup_options.num_threads = options_.num_threads;
-    mup_options.observability = obs;
-    all_mups = finder.FindMups(mup_options);
-  }
+  // 1. Detect the minimum-level MUPs: one full lattice traversal.
+  auto counter = coverage::PatternCounter::FromDataset(corpus->dataset);
+  if (!counter.ok()) return counter.status();
+  coverage::MupFinder finder(schema, *counter);
+  coverage::MupFinderOptions mup_options;
+  mup_options.tau = options_.tau;
+  mup_options.num_threads = options_.num_threads;
+  mup_options.observability = options_.observability;
+  const std::vector<coverage::Mup> all_mups = finder.FindMups(mup_options);
   report.initial_mups = coverage::MupFinder::MinLevel(all_mups);
   if (report.initial_mups.empty()) {
     report.fully_resolved = true;
-    journal_run_end();
+    instruments.End(report);
     return report;
   }
   const int target_level = report.initial_mups[0].Level();
-  if (obs != nullptr) {
-    obs->registry.Gauge("mup.min_level")
-        ->Set(static_cast<double>(target_level));
-  }
+  instruments.MinLevel(target_level);
 
   // 2. Plan the augmentation.
   {
-    std::optional<obs::Span> span;
-    if (obs != nullptr) span.emplace(obs->tracer.StartSpan("plan.select"));
+    const std::optional<obs::Span> span = instruments.Stage("plan.select");
     switch (options_.selection) {
       case SelectionAlgorithm::kGreedy:
         report.plan = GreedySelect(schema, report.initial_mups);
@@ -560,18 +587,10 @@ util::Result<RepairReport> Chameleon::RepairMinLevelMups(fm::Corpus* corpus) {
         break;
     }
   }
-  if (obs != nullptr) {
-    int64_t tuples_required = 0;
-    for (const auto& entry : report.plan) tuples_required += entry.count;
-    obs->registry.Gauge("plan.entries")
-        ->Set(static_cast<double>(report.plan.size()));
-    obs->registry.Gauge("plan.tuples_required")
-        ->Set(static_cast<double>(tuples_required));
-  }
+  instruments.Planned(report.plan);
 
   // 3. Calibrate p and train the distribution test on real tuples.
-  std::optional<obs::Span> train_span;
-  if (obs != nullptr) train_span.emplace(obs->tracer.StartSpan("sampler.train"));
+  std::optional<obs::Span> train_span = instruments.Stage("sampler.train");
   report.estimated_p = evaluators_->EstimateRealLabelRate(
       corpus->RealTupleRealism(), options_.p_estimation_samples, &rng);
   if (report.estimated_p <= 0.0) {
@@ -588,10 +607,8 @@ util::Result<RepairReport> Chameleon::RepairMinLevelMups(fm::Corpus* corpus) {
                                          report.estimated_p,
                                          options_.rejection);
   if (!sampler.ok()) return sampler.status();
-  if (obs != nullptr) {
-    train_span->End();
-    obs->registry.Gauge("run.estimated_p")->Set(report.estimated_p);
-  }
+  train_span.reset();
+  instruments.Calibrated(report.estimated_p);
 
   // 4. Fulfil the plan.
   auto selector = MakeGuideSelector(options_.guide_strategy, schema,
@@ -617,30 +634,9 @@ util::Result<RepairReport> Chameleon::RepairMinLevelMups(fm::Corpus* corpus) {
   // benches and operators can see the faults behind the numbers.
   if (const fm::FaultTelemetry* telemetry = model_->fault_telemetry()) {
     report.faults.transport = *telemetry;
-    if (obs != nullptr) {
-      obs::Registry* r = &obs->registry;
-      r->Gauge("fm.transport.attempts")
-          ->Set(static_cast<double>(telemetry->attempts));
-      r->Gauge("fm.transport.retries")
-          ->Set(static_cast<double>(telemetry->retries));
-      r->Gauge("fm.transport.faults_masked")
-          ->Set(static_cast<double>(telemetry->faults_masked));
-      r->Gauge("fm.transport.malformed_results")
-          ->Set(static_cast<double>(telemetry->malformed_results));
-      r->Gauge("fm.transport.failed_queries")
-          ->Set(static_cast<double>(telemetry->failed_queries));
-      r->Gauge("fm.transport.fail_fast_rejections")
-          ->Set(static_cast<double>(telemetry->fail_fast_rejections));
-      r->Gauge("fm.transport.breaker_opens")
-          ->Set(static_cast<double>(telemetry->breaker_opens));
-      r->Gauge("fm.transport.breaker_reopens")
-          ->Set(static_cast<double>(telemetry->breaker_reopens));
-      r->Gauge("fm.transport.breaker_closes")
-          ->Set(static_cast<double>(telemetry->breaker_closes));
-      r->Gauge("fm.transport.backoff_ms")->Set(telemetry->backoff_ms);
-    }
+    instruments.Transport(*telemetry);
   }
-  journal_run_end();
+  instruments.End(report);
   return report;
 }
 

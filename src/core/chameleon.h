@@ -2,15 +2,12 @@
 #define CHAMELEON_CORE_CHAMELEON_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/core/combination_selection.h"
 #include "src/core/guide_selection.h"
 #include "src/core/rejection_sampler.h"
-#include "src/coverage/incremental_mup.h"
 #include "src/coverage/mup_finder.h"
 #include "src/embedding/embedder.h"
 #include "src/fm/corpus.h"
@@ -100,17 +97,6 @@ struct ChameleonOptions {
   /// returning a partial report with `cancelled`/`deadline_expired` set.
   /// The serving layer (tools/chameleond) allocates one per request.
   fm::Deadline* deadline = nullptr;
-  /// Streaming-corpus mode (DESIGN.md §14): maintain the MUP frontier in
-  /// a coverage::IncrementalMupIndex instead of re-running the full
-  /// lattice BFS per repair call. The first RepairMinLevelMups builds the
-  /// index (one FindMups traversal); every batch of accepted tuples then
-  /// patches it in place, so repeated repair calls on a drifting corpus —
-  /// and warm serving-layer clones (tools/chameleond) — consult the
-  /// maintained frontier at a fraction of a rebuild. The index equals
-  /// order-normalized FindMups on the materialized corpus at every point,
-  /// so accepted tuples, reports, and digests are bit-identical to the
-  /// default mode. Off by default (the legacy full recompute).
-  bool incremental_coverage = false;
 };
 
 /// One generated tuple's audit record: everything the benchmarks need to
@@ -222,24 +208,11 @@ class Chameleon {
 
   const ChameleonOptions& options() const { return options_; }
 
-  /// Hands this system a pre-built MUP index (incremental_coverage mode
-  /// only; ignored otherwise). The serving layer clones one warm
-  /// base-corpus index per request so a stream of repairs amortizes the
-  /// initial lattice traversal. RepairMinLevelMups re-validates the index
-  /// against the corpus (tau, tuple count, schema shape) and silently
-  /// rebuilds on mismatch — a stale index is never trusted.
-  void AdoptIncrementalIndex(coverage::IncrementalMupIndex index) {
-    incremental_index_ = std::move(index);
-  }
-
  private:
   fm::FoundationModel* model_;
   const embedding::Embedder* embedder_;
   const fm::EvaluatorPool* evaluators_;
   ChameleonOptions options_;
-  /// Engaged only in incremental_coverage mode: the corpus's maintained
-  /// MUP frontier, patched with every merged batch of accepted tuples.
-  std::optional<coverage::IncrementalMupIndex> incremental_index_;
 };
 
 }  // namespace chameleon::core

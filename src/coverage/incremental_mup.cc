@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <deque>
-#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
-
-#include "src/obs/observability.h"
-#include "src/util/stopwatch.h"
 
 namespace chameleon::coverage {
 namespace {
@@ -21,17 +17,6 @@ void SortMups(std::vector<Mup>* mups) {
     if (a.Level() != b.Level()) return a.Level() < b.Level();
     return a.pattern < b.pattern;
   });
-}
-
-/// Amortized wall nanoseconds per inserted tuple. Wall time is inherently
-/// machine/load-dependent, so the metric is exempt from the determinism
-/// contract (obs::IsStableMetric).
-const std::vector<double>& InsertNsBounds() {
-  static const std::vector<double> bounds = {100.0,    250.0,    500.0,
-                                             1000.0,   2500.0,   5000.0,
-                                             10000.0,  25000.0,  50000.0,
-                                             100000.0, 1000000.0};
-  return bounds;
 }
 
 }  // namespace
@@ -62,9 +47,6 @@ void IncrementalMupIndex::RebuildFrontier() {
   find_options.tau = options_.tau;
   find_options.max_level = options_.max_level;
   find_options.num_threads = options_.num_threads;
-  // Deliberately no observability: the adopting pipeline decides how a
-  // (re)build is journaled, and a warm clone must not re-emit the build's
-  // mup.found events into a second request's registry.
   const std::vector<Mup> mups = finder.FindMups(find_options);
   live_.clear();
   for (const Mup& mup : mups) {
@@ -104,30 +86,11 @@ util::Status IncrementalMupIndex::InsertBatch(
     CHAMELEON_RETURN_NOT_OK(ValidateTuple(values));
   }
 
-  obs::Observability* const obs = options_.observability;
-  std::optional<util::Stopwatch> timer;
-  if (obs != nullptr) timer.emplace();
-  const int64_t patched_before = patched_total_;
-  const int64_t retired_before = retired_total_;
-  const int64_t discovered_before = discovered_total_;
-
   for (const std::vector<int>& values : batch) {
     // Cannot fail: ValidateTuple mirrors AddTuple's checks.
     CHAMELEON_RETURN_NOT_OK(counter_.AddTuple(values));
   }
   PatchFrontier(batch);
-
-  if (obs != nullptr) {
-    obs->registry.Counter("mup.incremental.patched")
-        ->Increment(patched_total_ - patched_before);
-    obs->registry.Counter("mup.incremental.retired")
-        ->Increment(retired_total_ - retired_before);
-    obs->registry.Counter("mup.incremental.discovered")
-        ->Increment(discovered_total_ - discovered_before);
-    obs->registry.Histogram("mup.incremental.insert_ns", InsertNsBounds())
-        ->Observe(timer->ElapsedSeconds() * 1e9 /
-                  static_cast<double>(batch.size()));
-  }
   return util::Status::Ok();
 }
 
@@ -227,18 +190,6 @@ std::vector<Mup> IncrementalMupIndex::Mups() const {
   }
   SortMups(&mups);
   return mups;
-}
-
-bool IncrementalMupIndex::SchemaMatches(
-    const data::AttributeSchema& other) const {
-  if (other.num_attributes() != schema_->num_attributes()) return false;
-  for (int i = 0; i < schema_->num_attributes(); ++i) {
-    if (other.attribute(i).cardinality() !=
-        schema_->attribute(i).cardinality()) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace chameleon::coverage

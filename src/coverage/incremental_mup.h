@@ -13,10 +13,6 @@
 #include "src/data/schema.h"
 #include "src/util/status.h"
 
-namespace chameleon::obs {
-struct Observability;
-}  // namespace chameleon::obs
-
 namespace chameleon::coverage {
 
 /// Configuration for an IncrementalMupIndex.
@@ -31,12 +27,6 @@ struct IncrementalMupOptions {
   /// Incremental patches touch a handful of lattice nodes and always run
   /// serially, so the maintained MUP set is bit-identical at every value.
   int num_threads = 0;
-  /// Optional observability sink (not owned; null = no instrumentation).
-  /// Inserts record the `mup.incremental.patched` / `mup.incremental.
-  /// retired` / `mup.incremental.discovered` counters (deterministic) and
-  /// the `mup.incremental.insert_ns` amortized wall-time histogram
-  /// (exempt from the determinism contract via obs::IsStableMetric).
-  obs::Observability* observability = nullptr;
 };
 
 /// Maintains the exact MUP set of a growing dataset under single-tuple
@@ -61,12 +51,11 @@ struct IncrementalMupOptions {
 /// dataset — the contract the differential oracle in
 /// tests/incremental_mup_test.cc checks step by step.
 ///
-/// The index owns its schema (shared, immutable) and its PatternCounter,
-/// so it is copyable: the serving layer clones one warm base-corpus index
-/// per request instead of re-traversing the lattice (DESIGN.md §14).
-/// Const access, copying included, may run concurrently (the daemon's
-/// shared base-world index is only ever read); confine mutation of an
-/// instance to one request/thread.
+/// A library API for streaming callers (DESIGN.md §14); the repair
+/// pipeline detects its MUPs with one FindMups per repair instead. The
+/// index owns its schema (shared, immutable) and its PatternCounter, so
+/// it is copyable. Const access, copying included, may run concurrently;
+/// confine mutation of an instance to one thread.
 class IncrementalMupIndex {
  public:
   /// An index over the empty dataset (the root pattern is the single MUP
@@ -104,18 +93,6 @@ class IncrementalMupIndex {
   int64_t tau() const { return options_.tau; }
 
   const data::AttributeSchema& schema() const { return *schema_; }
-
-  /// Structural schema equality (attribute count + per-attribute
-  /// cardinality): the cheap staleness guard callers use before trusting
-  /// a warm index against a corpus they did not watch grow.
-  bool SchemaMatches(const data::AttributeSchema& other) const;
-
-  /// Re-points the instrumentation sink (not owned; null disables it).
-  /// A warm index cloned across requests must observe into the adopting
-  /// request's registry, not the one it was built under.
-  void set_observability(obs::Observability* observability) {
-    options_.observability = observability;
-  }
 
   /// Lifetime diagnostics: cumulative live-MUP count patches applied,
   /// MUPs retired (crossed tau), and new MUPs discovered by expansion.

@@ -171,10 +171,6 @@ util::Status Registry::Write(const std::string& path) const {
 
 bool IsStableMetric(const std::string& name) {
   if (name.rfind("threadpool.", 0) == 0) return false;
-  // Amortized wall time per insert (IncrementalMupIndex) — machine- and
-  // load-dependent by nature. The sibling mup.incremental.* counters
-  // (patched/retired/discovered) are deterministic and stay stable.
-  if (name == "mup.incremental.insert_ns") return false;
   return name != "mup.count_queries";
 }
 

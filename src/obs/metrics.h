@@ -150,9 +150,8 @@ class Registry {
 /// bit-identical at every `num_threads` for a fixed configuration. The
 /// exemptions are load/schedule-dependent by nature and documented as
 /// such: everything under `threadpool.` (no pool even exists on the
-/// serial path), `mup.count_queries` (the parallel lattice traversal
-/// prefetches parent counts instead of short-circuiting), and
-/// `mup.incremental.insert_ns` (amortized wall time per streamed insert).
+/// serial path) and `mup.count_queries` (the parallel lattice traversal
+/// prefetches parent counts instead of short-circuiting).
 bool IsStableMetric(const std::string& name);
 
 /// Formats a double for export: shortest representation that

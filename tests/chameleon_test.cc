@@ -131,6 +131,20 @@ TEST_F(ChameleonFeretTest, QueryCapStopsTheLoop) {
   EXPECT_FALSE(report->fully_resolved);
 }
 
+TEST_F(ChameleonFeretTest, HugeTauSaturatesTheAttemptCap) {
+  // tau near INT64_MAX makes the root's gap (tau - n) the plan count, and
+  // max_attempts_per_tuple × that count overflows int64: the attempt cap
+  // saturates instead, and the query cap still ends the run.
+  ChameleonOptions options;
+  options.tau = int64_t{1} << 62;
+  options.max_queries = 3;
+  Chameleon system(&model_, &embedder_, &evaluators_, options);
+  auto report = system.RepairMinLevelMups(&corpus_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->queries, 3);
+  EXPECT_FALSE(report->fully_resolved);
+}
+
 TEST_F(ChameleonFeretTest, AcceptanceCountersAreConsistent) {
   ChameleonOptions options;
   options.tau = 40;

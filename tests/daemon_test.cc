@@ -743,44 +743,41 @@ TEST(DaemonTest, ResumeReparksInterruptedRequests) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming coverage: warm incremental MUP indexes (DESIGN.md §14)
+// The wire's "incremental" field: accepted, and without effect (§14)
 // ---------------------------------------------------------------------------
 
-TEST(DaemonTest, WarmIncrementalIndexBitIdenticalToDirectRun) {
-  // Two sequential incremental repairs of the same (dataset, tau): the
-  // first builds the warm index (miss), the second clones it (hit), and
-  // both digests must equal the direct non-incremental run — the warm
-  // path is pure amortization, never a result change.
+TEST(DaemonTest, IncrementalFlagIsAcceptedAndChangesNothing) {
+  // Every repair detects its MUPs once, with one full lattice traversal:
+  // a request with "incremental":true and one without are both served,
+  // and both equal the direct run bit for bit.
   const std::string clean = DirectMicroDigest(MicroSpec("direct"));
   ASSERT_FALSE(clean.empty());
 
   RunningDaemon server;
   server.Start();
-  RepairRequestSpec first = MicroSpec("w1");
-  first.incremental = true;
-  SendPayload(server.client(), RenderRepairRequest(first));
-  obsctl::JsonValue report1 = AwaitFrame(server.client(), "report", "w1");
+  RepairRequestSpec flagged = MicroSpec("with");
+  flagged.incremental = true;
+  SendPayload(server.client(), RenderRepairRequest(flagged));
+  obsctl::JsonValue report1 = AwaitFrame(server.client(), "report", "with");
   EXPECT_EQ(report1.StringOr("records_digest", ""), clean);
   EXPECT_EQ(report1.StringOr("status", ""), "ok");
 
-  RepairRequestSpec second = MicroSpec("w2");
-  second.incremental = true;
-  SendPayload(server.client(), RenderRepairRequest(second));
-  obsctl::JsonValue report2 = AwaitFrame(server.client(), "report", "w2");
+  SendPayload(server.client(), RenderRepairRequest(MicroSpec("without")));
+  obsctl::JsonValue report2 =
+      AwaitFrame(server.client(), "report", "without");
   EXPECT_EQ(report2.StringOr("records_digest", ""), clean);
+  EXPECT_EQ(report2.StringOr("status", ""), "ok");
 
   server.Finish();
   const DaemonStats stats = server.daemon().stats();
-  EXPECT_EQ(stats.index_warm_misses, 1);
-  EXPECT_EQ(stats.index_warm_hits, 1);
+  EXPECT_EQ(stats.accepted, 2);
   EXPECT_EQ(stats.active, 0);
 }
 
-TEST(DaemonTest, ResumedDaemonRebuildsIncrementalIndexFromScratch) {
-  // A daemon killed mid-request while serving incremental repairs: the
-  // warm-index cache is process memory only, so after --resume the next
-  // incremental request must rebuild from the base corpus (a miss, never
-  // a stale frontier) and still match the direct run bit-for-bit.
+TEST(DaemonTest, ResumesJournalLineThatCarriesIncremental) {
+  // A daemon killed mid-request whose journal line carries
+  // "incremental":true: --resume parks it like any other request, and
+  // the next incremental request still matches the direct run.
   const std::string journal_path =
       testing::TempDir() + "/daemon_incr_crash.jsonl";
   {
@@ -810,8 +807,6 @@ TEST(DaemonTest, ResumedDaemonRebuildsIncrementalIndexFromScratch) {
   server.Finish();
   const DaemonStats stats = server.daemon().stats();
   EXPECT_EQ(stats.resumed, 1);
-  EXPECT_EQ(stats.index_warm_hits, 0);
-  EXPECT_EQ(stats.index_warm_misses, 1);
 }
 
 // ---------------------------------------------------------------------------

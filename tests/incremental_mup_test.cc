@@ -21,7 +21,6 @@
 #include "src/coverage/mup_finder.h"
 #include "src/coverage/pattern_counter.h"
 #include "src/data/dataset.h"
-#include "src/obs/observability.h"
 #include "src/util/rng.h"
 
 namespace chameleon::coverage {
@@ -468,8 +467,7 @@ TEST(IncrementalMupIndexTest, MupsAreBitIdenticalAtEveryThreadCount) {
           << "threads=8 diverged at step " << step;
     }
   }
-  // The patch/retire/discover accounting is part of the determinism
-  // contract too (the counters feed stable obs metrics).
+  // The patch/retire/discover accounting is deterministic too.
   EXPECT_EQ(indexes[0].patched(), indexes[1].patched());
   EXPECT_EQ(indexes[0].retired(), indexes[1].retired());
   EXPECT_EQ(indexes[0].discovered(), indexes[1].discovered());
@@ -529,47 +527,6 @@ TEST(IncrementalMupIndexTest, MaxLevelMatchesBoundedFinder) {
           << "step " << step;
     }
   }
-}
-
-TEST(IncrementalMupIndexTest, ObsCountersAndInsertHistogramAreRecorded) {
-  obs::Observability observability;
-  const data::AttributeSchema schema = MixedSchema({2, 2});
-  IncrementalMupOptions options;
-  options.tau = 1;
-  options.observability = &observability;
-  IncrementalMupIndex index(schema, options);
-  // tau=1 and the empty index: the root is the single MUP; the first
-  // insert patches it past tau, retires it, and discovers the uncovered
-  // children the expansion exposes.
-  ASSERT_TRUE(index.Insert({0, 0}).ok());
-  EXPECT_GT(index.patched(), 0);
-  EXPECT_GT(index.retired(), 0);
-  EXPECT_GT(index.discovered(), 0);
-
-  bool saw_patched = false;
-  bool saw_retired = false;
-  bool saw_insert_ns = false;
-  for (const obs::MetricSample& sample : observability.registry.Snapshot()) {
-    if (sample.name == "mup.incremental.patched") {
-      saw_patched = true;
-      EXPECT_EQ(sample.value, static_cast<double>(index.patched()));
-    } else if (sample.name == "mup.incremental.retired") {
-      saw_retired = true;
-      EXPECT_EQ(sample.value, static_cast<double>(index.retired()));
-    } else if (sample.name == "mup.incremental.insert_ns") {
-      saw_insert_ns = true;
-    }
-  }
-  EXPECT_TRUE(saw_patched);
-  EXPECT_TRUE(saw_retired);
-  EXPECT_TRUE(saw_insert_ns);
-
-  // The wall-time histogram is exempt from the determinism contract; the
-  // patch accounting is not.
-  EXPECT_TRUE(obs::IsStableMetric("mup.incremental.patched"));
-  EXPECT_TRUE(obs::IsStableMetric("mup.incremental.retired"));
-  EXPECT_TRUE(obs::IsStableMetric("mup.incremental.discovered"));
-  EXPECT_FALSE(obs::IsStableMetric("mup.incremental.insert_ns"));
 }
 
 }  // namespace

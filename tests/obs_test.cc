@@ -192,10 +192,7 @@ TEST(StableMetricTest, ExemptsScheduleDependentNames) {
   EXPECT_TRUE(IsStableMetric("fm.queries"));
   EXPECT_TRUE(IsStableMetric("rejection.accepted"));
   EXPECT_TRUE(IsStableMetric("mup.found"));
-  EXPECT_TRUE(IsStableMetric("mup.incremental.patched"));
-  EXPECT_TRUE(IsStableMetric("mup.incremental.retired"));
   EXPECT_FALSE(IsStableMetric("mup.count_queries"));
-  EXPECT_FALSE(IsStableMetric("mup.incremental.insert_ns"));
   EXPECT_FALSE(IsStableMetric("threadpool.tasks_submitted"));
   EXPECT_FALSE(IsStableMetric("threadpool.max_queue_depth"));
 }

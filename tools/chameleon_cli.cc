@@ -270,11 +270,6 @@ int CmdRepair(const Flags& flags) {
     return 1;
   }
 
-  // Streaming-corpus mode (DESIGN.md §14): maintain the MUP frontier
-  // incrementally instead of recomputing the lattice per repair call.
-  // Accepted tuples and reports are bit-identical either way.
-  options.incremental_coverage = flags.Has("incremental-coverage");
-
   const std::string metrics_out = flags.Get("metrics-out", "");
   const std::string trace_out = flags.Get("trace-out", "");
   const std::string journal_out = flags.Get("journal-out", "");
@@ -478,8 +473,7 @@ int Usage() {
                "[--nu=V] [--out=DIR]\n"
                "         [--rejection-batch=N] [--batch-size=N] "
                "[--batch-window=MS]\n"
-               "         [--backends=N] [--router=greedy|linucb] "
-               "[--incremental-coverage]\n"
+               "         [--backends=N] [--router=greedy|linucb]\n"
                "         [--metrics] [--metrics-out=FILE] [--trace-out=FILE] "
                "[--journal-out=FILE]\n"
                "         [--openmetrics-out=FILE] [--trace-json-out=FILE] "

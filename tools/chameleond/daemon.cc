@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/core/chameleon.h"
-#include "src/coverage/incremental_mup.h"
 #include "src/data/dataset.h"
 #include "src/datasets/feret.h"
 #include "src/datasets/synthetic_corpus.h"
@@ -25,17 +24,16 @@
 #include "tools/obsctl/json.h"
 
 namespace chameleon::daemon {
-namespace {
 
 /// A dataset's rendered corpus (with embeddings and realism) plus the
-/// simulator's style/scene hooks for that corpus's schema.
+/// simulator's style/scene hooks for that corpus's schema. A pure function
+/// of the dataset kind, so the daemon builds one per kind and every
+/// request repairs a copy of its corpus (DESIGN.md §13).
 struct RequestWorld {
   fm::Corpus corpus;
   fm::FaceStyleFn style;
   image::SceneStyle scene;
 };
-
-}  // namespace
 
 /// Middle Eastern is absent entirely and Hispanic/Asian are thin,
 /// mirroring the paper's FERET skew in miniature. Built from a fixed
@@ -61,110 +59,57 @@ util::Result<fm::Corpus> MakeMicroCorpus(const embedding::Embedder* embedder) {
 
 namespace {
 
-util::Result<RequestWorld> BuildWorld(DatasetKind kind,
-                                      const embedding::Embedder* embedder) {
-  RequestWorld world;
+/// Builds the world of `kind`. The embedder is deterministic, so the
+/// embeddings made here equal those any request's own embedder would make.
+util::Result<std::shared_ptr<const RequestWorld>> BuildWorld(
+    DatasetKind kind) {
+  const embedding::SimulatedEmbedder embedder;
+  auto world = std::make_shared<RequestWorld>();
   switch (kind) {
     case DatasetKind::kMicro: {
-      auto corpus = MakeMicroCorpus(embedder);
+      auto corpus = MakeMicroCorpus(&embedder);
       if (!corpus.ok()) return corpus.status();
-      world.corpus = *std::move(corpus);
-      world.style = datasets::FeretFaceStyleFn();
-      world.scene = datasets::FeretScene();
-      return world;
+      world->corpus = *std::move(corpus);
+      world->style = datasets::FeretFaceStyleFn();
+      world->scene = datasets::FeretScene();
+      return std::shared_ptr<const RequestWorld>(std::move(world));
     }
     case DatasetKind::kFeret: {
-      auto corpus = datasets::MakeFeret(embedder, datasets::FeretOptions());
+      auto corpus = datasets::MakeFeret(&embedder, datasets::FeretOptions());
       if (!corpus.ok()) return corpus.status();
-      world.corpus = *std::move(corpus);
-      world.style = datasets::FeretFaceStyleFn();
-      world.scene = datasets::FeretScene();
-      return world;
+      world->corpus = *std::move(corpus);
+      world->style = datasets::FeretFaceStyleFn();
+      world->scene = datasets::FeretScene();
+      return std::shared_ptr<const RequestWorld>(std::move(world));
     }
     case DatasetKind::kUtkFace: {
       // The §6.4.1 challenge subset with payloads: big enough to be a
       // real repair, small enough for a serving deadline to matter.
       datasets::ChallengeOptions options;
       options.render.image_size = 32;
-      auto corpus = datasets::MakeUtkFaceChallengeSubset(embedder, options);
+      auto corpus = datasets::MakeUtkFaceChallengeSubset(&embedder, options);
       if (!corpus.ok()) return corpus.status();
-      world.corpus = *std::move(corpus);
-      world.style = datasets::UtkFaceStyleFn();
-      world.scene = datasets::UtkFaceScene();
-      return world;
+      world->corpus = *std::move(corpus);
+      world->style = datasets::UtkFaceStyleFn();
+      world->scene = datasets::UtkFaceScene();
+      return std::shared_ptr<const RequestWorld>(std::move(world));
     }
   }
   return util::Status::InvalidArgument("unknown dataset kind");
 }
 
-}  // namespace
-
-/// Everything about a dataset kind that does not depend on the request:
-/// the rendered world, plus one pre-repair incremental MUP index per tau,
-/// built on first use. Both are pure functions of the kind (and tau), so
-/// the daemon shares one instance across all requests and never mutates
-/// what it has handed out; requests repair copies.
-class BaseWorld {
- public:
-  static util::Result<std::shared_ptr<const BaseWorld>> Build(
-      DatasetKind kind) {
-    // The embedder is deterministic, so embeddings made with this one
-    // equal those any request's own embedder would make.
-    embedding::SimulatedEmbedder embedder;
-    auto world = BuildWorld(kind, &embedder);
-    if (!world.ok()) return world.status();
-    return std::shared_ptr<const BaseWorld>(
-        std::make_shared<BaseWorld>(*std::move(world)));
-  }
-
-  explicit BaseWorld(RequestWorld world) : world_(std::move(world)) {}
-
-  const RequestWorld& world() const { return world_; }
-
-  /// The base corpus's incremental MUP index at `tau`. `*built` is true
-  /// when this call paid the lattice traversal.
-  util::Result<std::shared_ptr<const coverage::IncrementalMupIndex>> Index(
-      int64_t tau, int num_threads, bool* built) const {
-    return indexes_.GetOrBuild(
-        tau,
-        [&]() -> util::Result<
-                  std::shared_ptr<const coverage::IncrementalMupIndex>> {
-          coverage::IncrementalMupOptions options;
-          options.tau = tau;
-          options.num_threads = num_threads;
-          auto index = coverage::IncrementalMupIndex::FromDataset(
-              world_.corpus.dataset, options);
-          if (!index.ok()) return index.status();
-          return std::shared_ptr<const coverage::IncrementalMupIndex>(
-              std::make_shared<coverage::IncrementalMupIndex>(
-                  *std::move(index)));
-        },
-        built);
-  }
-
- private:
-  const RequestWorld world_;
-  /// A cache of pure functions of world_, hence mutable in a const world.
-  mutable BuildOnceMap<int64_t, coverage::IncrementalMupIndex> indexes_;
-};
-
-namespace {
-
 /// One request's pipeline: a copy of the base corpus (RepairMinLevelMups
 /// appends accepted tuples to it), its own simulator, optional fault
 /// injector, resilience decorator, embedder and evaluators, and the repair
 /// itself. Nothing mutable here is shared with any other request — the
-/// structural form of per-request breaker/clock isolation. `base` is
-/// shared but immutable; an incremental request repairs a clone of its
-/// index. `*index_built` reports whether this request built that index.
+/// structural form of per-request breaker/clock isolation. `world` is
+/// shared but immutable.
 util::Result<core::RepairReport> ExecuteRepair(const RepairRequestSpec& spec,
-                                               const BaseWorld& base,
+                                               const RequestWorld& world,
                                                fm::Deadline* deadline,
-                                               bool* index_built,
                                                obs::Observability* obs) {
   embedding::SimulatedEmbedder embedder;
   fm::EvaluatorPool evaluators(2024);
-  const RequestWorld& world = base.world();
   fm::Corpus corpus = world.corpus;
 
   fm::SimulatedFoundationModel sim(corpus.dataset.schema(), world.style,
@@ -185,14 +130,8 @@ util::Result<core::RepairReport> ExecuteRepair(const RepairRequestSpec& spec,
   options.rejection_batch = spec.rejection_batch;
   options.num_threads = spec.num_threads;
   options.deadline = deadline;
-  options.incremental_coverage = spec.incremental;
   options.observability = obs;  // null = telemetry off, zero overhead
   core::Chameleon system(&resilient, &embedder, &evaluators, options);
-  if (spec.incremental) {
-    auto index = base.Index(spec.tau, spec.num_threads, index_built);
-    if (!index.ok()) return index.status();
-    system.AdoptIncrementalIndex(**index);
-  }
   return system.RepairMinLevelMups(&corpus);
 }
 
@@ -498,15 +437,14 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
     });
   }
 
-  // The first request of a dataset kind builds its BaseWorld (later ones
+  // The first request of a dataset kind builds its world (later ones
   // share it); the repair itself runs on a per-request copy.
-  bool index_built = false;
-  auto base = AcquireWorld(spec.dataset);
+  auto world = AcquireWorld(spec.dataset);
   auto report =
-      base.ok() ? ExecuteRepair(spec, **base, deadline.get(), &index_built,
-                                request_obs.has_value() ? &*request_obs
-                                                        : nullptr)
-                : util::Result<core::RepairReport>(base.status());
+      world.ok() ? ExecuteRepair(spec, **world, deadline.get(),
+                                 request_obs.has_value() ? &*request_obs
+                                                         : nullptr)
+                 : util::Result<core::RepairReport>(world.status());
 
   // The daemon's own virtual clock advances by each request's consumed
   // virtual time, so aggregator windows measure served virtual load.
@@ -564,23 +502,15 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
     ++stats_.completed;
     if (was_cancelled) ++stats_.cancelled;
     if (report.ok() && report->deadline_expired) ++stats_.deadline_expired;
-    if (spec.incremental && base.ok()) {
-      if (index_built) {
-        ++stats_.index_warm_misses;
-      } else {
-        ++stats_.index_warm_hits;
-      }
-    }
   }
   drain_cv_.notify_all();
 }
 
-util::Result<std::shared_ptr<const BaseWorld>> Daemon::AcquireWorld(
+util::Result<std::shared_ptr<const RequestWorld>> Daemon::AcquireWorld(
     DatasetKind kind) {
   bool built = false;
   auto world =
-      worlds_.GetOrBuild(kind, [kind] { return BaseWorld::Build(kind); },
-                         &built);
+      worlds_.GetOrBuild(kind, [kind] { return BuildWorld(kind); }, &built);
   if (built) {
     std::lock_guard<std::mutex> lock(state_mutex_);
     ++stats_.world_builds;

@@ -31,7 +31,7 @@ namespace chameleon::daemon {
 /// thin) whose minimum-level repair runs in a fraction of a second.
 /// Exposed so tests and benches can run the identical repair directly
 /// against core::Chameleon and compare digests with daemon runs; the
-/// daemon itself builds it once, into the micro BaseWorld.
+/// daemon itself builds it once, as its micro world.
 [[nodiscard]] util::Result<fm::Corpus> MakeMicroCorpus(
     const embedding::Embedder* embedder);
 
@@ -79,20 +79,14 @@ struct DaemonStats {
   int64_t active = 0;            ///< currently queued + running
   int64_t running = 0;           ///< currently executing (subset of active)
   int64_t deadline_expired = 0;  ///< completions that hit their deadline
-  /// Incremental repairs that cloned a cached warm MUP index (hit) vs.
-  /// built it from the base corpus (miss). The cache is in-memory only,
-  /// so a resumed daemon always starts with misses — crash recovery can
-  /// never reuse a stale frontier.
-  int64_t index_warm_hits = 0;
-  int64_t index_warm_misses = 0;
-  /// Base worlds built: at most one per dataset kind over the daemon's
+  /// Worlds built: at most one per dataset kind over the daemon's
   /// lifetime (a failed build is retried, and counted again).
   int64_t world_builds = 0;
 };
 
 /// The immutable starting point of every request of one dataset kind;
 /// defined in daemon.cc.
-class BaseWorld;
+struct RequestWorld;
 
 /// The chameleond server: accepts length-prefixed JSONL frames over a
 /// Transport, multiplexes repair requests onto a shared ThreadPool with
@@ -153,7 +147,7 @@ class Daemon {
   /// and waits for them to park.
   [[nodiscard]] util::Status Drain();
 
-  /// Worker body: takes the dataset's shared BaseWorld, copies its corpus
+  /// Worker body: takes the dataset's shared world, copies its corpus
   /// and builds the per-request model stack (its own simulator, fault
   /// injector, resilience decorator, and Deadline — nothing mutable is
   /// shared with another request), runs the repair, journals the outcome,
@@ -161,9 +155,9 @@ class Daemon {
   void RunRequest(const RepairRequestSpec& spec,
                   const std::shared_ptr<fm::Deadline>& deadline);
 
-  /// The shared BaseWorld of `kind`, built on the first request of that
-  /// kind (concurrent first requests wait on one build).
-  [[nodiscard]] util::Result<std::shared_ptr<const BaseWorld>> AcquireWorld(
+  /// The shared world of `kind`, built on the first request of that kind
+  /// (concurrent first requests wait on one build).
+  [[nodiscard]] util::Result<std::shared_ptr<const RequestWorld>> AcquireWorld(
       DatasetKind kind);
 
   /// Serialized frame write; after the first failure every send fails
@@ -206,12 +200,12 @@ class Daemon {
   std::mutex write_mutex_;
   bool write_failed_ CHAMELEON_GUARDED_BY(write_mutex_) = false;
 
-  /// One BaseWorld per dataset kind (DESIGN.md §13), in process memory
+  /// One world per dataset kind (DESIGN.md §13), in process memory
   /// only. A world is a pure function of its kind, so an entry is valid
   /// for every later request, and a resumed daemon simply rebuilds it.
   /// Self-synchronized, separately from state_mutex_, so a world build
   /// never stalls admission control.
-  BuildOnceMap<DatasetKind, BaseWorld> worlds_;
+  BuildOnceMap<DatasetKind, RequestWorld> worlds_;
 
   std::vector<ResumedRequest> resumed_;
 

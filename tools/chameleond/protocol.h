@@ -40,10 +40,10 @@ struct RepairRequestSpec {
   int num_threads = 1;  ///< 0 = host concurrency; <= kMaxRequestThreads
   /// Per-request virtual-time budget (fm::Deadline); 0 = unlimited.
   double deadline_ms = 0.0;
-  /// Streaming-corpus mode (DESIGN.md §14): the repair adopts a warm
-  /// incremental MUP index — the daemon keeps one per (dataset, tau)
-  /// across requests — instead of re-running the full lattice traversal.
-  /// Accepted tuples, reports, and digests are bit-identical either way.
+  /// Accepted for wire compatibility and has no effect: every repair
+  /// detects its MUPs with one full lattice traversal (DESIGN.md §14).
+  /// Parsed, journaled and rendered like any other field, so an old
+  /// client or journal line that carries `"incremental"` still works.
   bool incremental = false;
   /// Optional fault injection below the request's resilience layer (the
   /// chaos harness's scripted backend outages ride in here).

@@ -20,6 +20,9 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-all}"
 PARALLEL="$(nproc 2>/dev/null || echo 2)"
+# ASan + UBSan for the asan, faults and daemon jobs. Without
+# -fno-sanitize-recover a UB report is only printed and the test passes.
+ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer"
 
 run_job() {
   local name="$1" build_type="$2" flags="$3"
@@ -55,7 +58,7 @@ run_job() {
 # full breadth.
 run_faults() {
   local dir="build-ci-faults"
-  local flags="-fsanitize=address,undefined -fno-omit-frame-pointer"
+  local flags="${ASAN_FLAGS}"
   echo "==== [faults] configure (Debug + ASan/UBSan) ===="
   cmake -B "${dir}" -S . \
     -DCMAKE_BUILD_TYPE=Debug \
@@ -80,7 +83,7 @@ run_daemon() {
   for config in asan tsan; do
     dir="build-ci-daemon-${config}"
     if [[ "${config}" == "asan" ]]; then
-      flags="-fsanitize=address,undefined -fno-omit-frame-pointer"
+      flags="${ASAN_FLAGS}"
       echo "==== [daemon] configure (Debug + ASan/UBSan) ===="
       cmake -B "${dir}" -S . \
         -DCMAKE_BUILD_TYPE=Debug \
@@ -245,7 +248,7 @@ case "${JOBS}" in
     run_job release Release ""
     ;;
   asan)
-    run_job asan Debug "-fsanitize=address,undefined -fno-omit-frame-pointer"
+    run_job asan Debug "${ASAN_FLAGS}"
     ;;
   tsan)
     # TSan is incompatible with ASan; RelWithDebInfo keeps the threaded
@@ -264,7 +267,7 @@ case "${JOBS}" in
   all)
     run_lint
     run_job release Release ""
-    run_job asan Debug "-fsanitize=address,undefined -fno-omit-frame-pointer"
+    run_job asan Debug "${ASAN_FLAGS}"
     run_job tsan RelWithDebInfo "-fsanitize=thread -fno-omit-frame-pointer"
     run_faults
     run_daemon
