@@ -1,9 +1,10 @@
 // Throughput of the batched FM transport against the simulated backend
-// pool. Queries are pushed through the BatchCoalescer at transport batch
-// sizes 1/8/32 and timed on the pool's *virtual* latency axis (a batch
-// of k dispatched to one backend costs base + k * per, not k * (base +
-// per)), so the reported numbers are machine-independent and the
-// committed baseline diffs at exactly 0% on any host.
+// pool. Queries go to BackendPool::GenerateBatch in chunks of 1/8/32 (a
+// chunk is what one rejection round dispatches) and are timed on the
+// pool's *virtual* latency axis (a batch of k dispatched to one backend
+// costs base + k * per, not k * (base + per)), so the reported numbers
+// are machine-independent and the committed baseline diffs at exactly
+// 0% on any host.
 //
 // The binary self-checks the acceptance criterion — batch 32 must
 // deliver at least 3x the queries/sec of batch 1 — and that the
@@ -15,6 +16,7 @@
 // per-query virtual numbers are identical because every count used is a
 // multiple of every batch size).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -23,15 +25,13 @@
 #include "bench/experiment_common.h"
 #include "src/datasets/feret.h"
 #include "src/fm/backend_pool.h"
-#include "src/fm/batching.h"
 #include "src/fm/foundation_model.h"
 #include "src/obs/quantile_digest.h"
 #include "src/util/rng.h"
 
 namespace {
 
-using chameleon::fm::BatchCoalescer;
-using chameleon::fm::BatchCoalescerOptions;
+using chameleon::fm::BatchItem;
 using chameleon::fm::GenerationRequest;
 using chameleon::fm::GenerationResult;
 
@@ -43,9 +43,9 @@ struct CaseResult {
   std::vector<GenerationResult> results;
 };
 
-/// Drives `num_queries` requests through coalescer + pool at one batch
-/// size. A fresh pool and a fresh rng parent per case: bit-identity
-/// across cases is part of what this bench asserts.
+/// Dispatches `num_queries` requests to the pool in chunks of `batch`.
+/// A fresh pool and a fresh rng parent per case: bit-identity across
+/// cases is part of what this bench asserts.
 CaseResult RunCase(int batch, int num_queries) {
   chameleon::fm::SimulatedBackendPool pool =
       chameleon::fm::MakeSimulatedBackendPool(
@@ -54,29 +54,30 @@ CaseResult RunCase(int batch, int num_queries) {
           chameleon::datasets::FeretScene(),
           chameleon::fm::SimulatedPoolOptions());
 
-  BatchCoalescerOptions options;
-  options.max_batch_size = batch;
-  options.window_ms = 1e12;  // size-triggered flushes only
-  BatchCoalescer coalescer(pool.pool.get(), options);
-
   std::vector<GenerationRequest> requests(num_queries);
   std::vector<chameleon::util::Rng> rngs;
-  std::vector<BatchCoalescer::Slot> slots(num_queries);
   rngs.reserve(requests.size());
   chameleon::util::Rng parent(7);
   for (int i = 0; i < num_queries; ++i) {
     requests[i].target_values = {i % 2, i % 5};
     rngs.push_back(parent.Fork());
   }
-  for (int i = 0; i < num_queries; ++i) {
-    if (!coalescer.Enqueue(&requests[i], &rngs[i], &slots[i]).ok()) {
-      std::fprintf(stderr, "enqueue failed at query %d\n", i);
+  std::vector<chameleon::util::Result<GenerationResult>> answers;
+  answers.reserve(requests.size());
+  for (int begin = 0; begin < num_queries; begin += batch) {
+    const int end = std::min(num_queries, begin + batch);
+    std::vector<BatchItem> items;
+    for (int i = begin; i < end; ++i) {
+      items.push_back(BatchItem{&requests[i], &rngs[i]});
+    }
+    std::vector<chameleon::util::Result<GenerationResult>> results =
+        pool.pool->GenerateBatch(items);
+    if (results.size() != items.size()) {
+      std::fprintf(stderr, "chunk at query %d: %zu results for %zu items\n",
+                   begin, results.size(), items.size());
       std::exit(1);
     }
-  }
-  if (!coalescer.Flush().ok()) {
-    std::fprintf(stderr, "flush failed\n");
-    std::exit(1);
+    for (auto& result : results) answers.push_back(std::move(result));
   }
 
   CaseResult out;
@@ -84,13 +85,14 @@ CaseResult RunCase(int batch, int num_queries) {
   out.virtual_ms = pool.pool->virtual_ms();
   out.ns_per_query = out.virtual_ms * 1e6 / num_queries;
   out.queries_per_sec = num_queries / (out.virtual_ms / 1000.0);
-  out.results.reserve(slots.size());
+  out.results.reserve(answers.size());
   for (int i = 0; i < num_queries; ++i) {
-    if (!slots[i].has_value() || !(*slots[i]).ok()) {
-      std::fprintf(stderr, "query %d unanswered\n", i);
+    if (!answers[i].ok()) {
+      std::fprintf(stderr, "query %d failed: %s\n", i,
+                   answers[i].status().ToString().c_str());
       std::exit(1);
     }
-    out.results.push_back(std::move(**slots[i]));
+    out.results.push_back(std::move(*answers[i]));
   }
   std::printf("  batch %2d: %8.1f virtual ms for %d queries"
               " (%7.0f q/s, routed: ",
@@ -124,7 +126,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--smoke") smoke = true;
   }
-  // Both counts are multiples of 32, so every case flushes full batches
+  // Both counts are multiples of 32, so every case dispatches full chunks
   // and the virtual per-query numbers are identical in smoke mode.
   const int num_queries = smoke ? 96 : 960;
 

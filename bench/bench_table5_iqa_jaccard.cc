@@ -6,6 +6,10 @@
 // images as the humans did, and the rejected sets are compared by
 // Jaccard similarity. The paper's finding is negative: all tools land
 // far from the human ground truth (Jaccard 0.07-0.13).
+//
+// Exits 1 unless the table has the EXPERIMENTS.md shape (the `paper`
+// ctest label runs it): the humans reject some images, and every tool's
+// Jaccard against those rejections is below 0.2.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,6 +35,8 @@ namespace {
 
 constexpr int kNumImages = 271;     // paper's synthetic pool size
 constexpr int kEvaluationsPerImage = 6;  // "more than five evaluators"
+/// Every tool must stay below this Jaccard for the paper's negative result.
+constexpr double kMaxJaccard = 0.2;
 
 /// Indices of the `count` highest-scoring entries (used when a higher
 /// tool score means worse quality).
@@ -118,9 +124,10 @@ int main(int argc, char** argv) {
   std::printf("humans rejected %zu of %d images (p=%.2f; paper: 27 of 271)\n",
               human_rejects.size(), kNumImages, p);
   if (human_rejects.empty()) {
-    std::printf("no rejected images; nothing to compare\n");
+    std::fprintf(stderr, "FAIL: humans rejected no image; nothing to compare\n");
+    std::printf("Paper shape: BROKEN\n");
     return bench::FinishExperiment(argc, argv, "bench_table5_iqa_jaccard",
-                                   bench_stopwatch.ElapsedSeconds(), 0);
+                                   bench_stopwatch.ElapsedSeconds(), 1);
   }
 
   // Train the IQA tools on the real corpus and calibrate each threshold
@@ -147,17 +154,29 @@ int main(int argc, char** argv) {
   const auto brisque_rejects = WorstByScore(brisque_scores, k, true);
   const auto nima_rejects = WorstByScore(nima_scores, k, false);  // low=bad
 
+  const struct {
+    const char* name;
+    const std::vector<int64_t>& rejects;
+  } tools[] = {{"NIQE", niqe_rejects},
+               {"BRISQUE", brisque_rejects},
+               {"NIMA", nima_rejects}};
   util::TablePrinter table({"Quality Assessment Algorithm", "Jaccard"});
-  table.AddRow({"NIQE", util::Fmt(stats::JaccardSimilarity(
-                            niqe_rejects, human_rejects), 3)});
-  table.AddRow({"BRISQUE", util::Fmt(stats::JaccardSimilarity(
-                               brisque_rejects, human_rejects), 3)});
-  table.AddRow({"NIMA", util::Fmt(stats::JaccardSimilarity(
-                            nima_rejects, human_rejects), 3)});
+  bool shaped = true;
+  for (const auto& tool : tools) {
+    const double jaccard = stats::JaccardSimilarity(tool.rejects, human_rejects);
+    table.AddRow({tool.name, util::Fmt(jaccard, 3)});
+    if (!(jaccard < kMaxJaccard)) {
+      std::fprintf(stderr, "FAIL: %s Jaccard %.3f, expected < %.1f\n",
+                   tool.name, jaccard, kMaxJaccard);
+      shaped = false;
+    }
+  }
   std::printf("%s", table.ToString().c_str());
   std::printf(
       "\nExpected shape (paper: NIQE 0.127, BRISQUE 0.068, NIMA 0.068):\n"
       "all tools score low — none reliably isolates unrealistic images.\n");
+  std::printf("Paper shape: %s\n", shaped ? "holds" : "BROKEN");
   return bench::FinishExperiment(argc, argv, "bench_table5_iqa_jaccard",
-                                 bench_stopwatch.ElapsedSeconds(), 0);
+                                 bench_stopwatch.ElapsedSeconds(),
+                                 shaped ? 0 : 1);
 }

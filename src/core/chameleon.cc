@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "src/coverage/pattern_counter.h"
-#include "src/fm/batching.h"
 #include "src/fm/deadline.h"
 #include "src/obs/observability.h"
 #include "src/util/thread_pool.h"
@@ -18,18 +17,18 @@ namespace {
 
 /// One submitted request awaiting its transport result. Select runs
 /// serially at submission; generation and label draws come from two
-/// streams forked off the master rng at submission time, so neither the
-/// transport grouping nor the dispatch order can change any draw. The
-/// request's guide_values/mask pointers alias `choice`/`mask`, so the
-/// struct must stay put once enqueued — the submission vector reserves
-/// the whole round up front.
+/// streams forked off the master rng at submission time, so the model's
+/// scheduling of the round's batch cannot change any draw. The request's
+/// guide_values/mask pointers alias `choice`/`mask`, and the round's
+/// BatchItems point at `request`/`gen_rng`, so the struct must stay put
+/// once selected — the submission vector reserves the whole round up
+/// front.
 struct PendingGeneration {
   GuideChoice choice;
   fm::GenerationRequest request;
   image::Image mask;
   util::Rng gen_rng;
   util::Rng label_rng;
-  fm::BatchCoalescer::Slot result;
 };
 
 /// One generated candidate awaiting evaluation. Embed and the rejection
@@ -67,8 +66,8 @@ std::string FormatTarget(const std::vector<int>& target) {
 class LoopInstruments {
  public:
   LoopInstruments(obs::Observability* obs, const std::vector<int>& target,
-                  int64_t count)
-      : obs_(obs) {
+                  int64_t count, int64_t rejection_batch)
+      : obs_(obs), rejection_batch_(rejection_batch) {
     if (obs_ == nullptr) return;
     obs::Registry* registry = &obs_->registry;
     fm_queries_ = registry->Counter("fm.queries");
@@ -111,6 +110,29 @@ class LoopInstruments {
                              .Set("arm", choice.arm)
                              .Set("guided", choice.has_guide));
     if (issued) fm_queries_->Increment();
+  }
+
+  /// One `fm.batch` per dispatched round, and none at rejection_batch 1
+  /// (a one-query dispatch is not a batch). `reason` is "size" for a full
+  /// round and "force" for one the caps cut short. The `fm.batch.*`
+  /// handles resolve on the first batch, so a run without one registers
+  /// none of them.
+  void Batch(size_t size) {
+    if (obs_ == nullptr || rejection_batch_ <= 1) return;
+    const bool full = static_cast<int64_t>(size) == rejection_batch_;
+    obs_->journal.Record(obs::JournalEvent("fm.batch")
+                             .Set("size", size)
+                             .Set("reason", full ? "size" : "force"));
+    if (batch_flushes_ == nullptr) {
+      obs::Registry* registry = &obs_->registry;
+      batch_flushes_ = registry->Counter("fm.batch.flushes");
+      batch_requests_ = registry->Counter("fm.batch.requests");
+      batch_size_ = registry->Histogram(
+          "fm.batch.size", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
+    }
+    batch_flushes_->Increment();
+    batch_requests_->Increment(static_cast<int64_t>(size));
+    batch_size_->Observe(static_cast<double>(size));
   }
 
   /// One `fm.parked` per parking event: a failed result or a stop.
@@ -186,6 +208,7 @@ class LoopInstruments {
   }
 
   obs::Observability* obs_;
+  int64_t rejection_batch_;
   std::string target_;
   obs::Counter* fm_queries_ = nullptr;
   obs::Counter* fm_parked_ = nullptr;
@@ -198,6 +221,9 @@ class LoopInstruments {
   obs::Counter* rejected_both_ = nullptr;
   obs::Histogram* decision_value_ = nullptr;
   obs::Histogram* quality_p_ = nullptr;
+  obs::Counter* batch_flushes_ = nullptr;
+  obs::Counter* batch_requests_ = nullptr;
+  obs::Histogram* batch_size_ = nullptr;
   std::vector<obs::Counter*> guide_arms_;  ///< indexed by arm + 1
   std::optional<obs::Span> entry_span_;
 };
@@ -332,22 +358,8 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
     pool = std::make_unique<util::ThreadPool>(num_threads);
   }
 
-  // Every query goes through the coalescer (DESIGN.md §11). Its cap
-  // follows rejection_batch unless fm_batch_size sets it; a cap of 1
-  // flushes each query on its own, and since a one-request flush is not
-  // a batch, the sink is attached only above 1 (no `fm.batch` events).
-  // The coalescer is force-flushed at the end of every round (evaluation
-  // needs the results), so the window/size triggers only fire mid-round.
-  const int64_t fm_batch =
-      options_.fm_batch_size > 0 ? options_.fm_batch_size : batch_limit;
-  fm::BatchCoalescerOptions coalescer_options;
-  coalescer_options.max_batch_size =
-      static_cast<int>(std::min<int64_t>(fm_batch, 4096));
-  coalescer_options.window_ms = options_.batch_window_ms;
-  fm::BatchCoalescer coalescer(
-      model_, coalescer_options,
-      fm_batch > 1 ? options_.observability : nullptr);
-  LoopInstruments instruments(options_.observability, target, count);
+  LoopInstruments instruments(options_.observability, target, count,
+                              batch_limit);
 
   bool parked = false;
   while (!parked && accepted_here < count && attempts < attempt_cap &&
@@ -376,13 +388,14 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
     //     forks per slot, in submission order. This is everything that
     //     touches the master rng or reads mutable pipeline state, and each
     //     request's own generation and label streams are forked here, so
-    //     neither the mask fan-out nor the transport grouping can change
+    //     neither the mask fan-out nor the model's scheduling can change
     //     any draw.
     //  2. Masks, on the pool: each guided slot writes only its own mask.
-    //  3. Dispatch, serial: journal and count each query, enqueue it, then
-    //     force-flush. Under the pool's Scope a model whose slots are
-    //     independent (the simulator) serves each flushed batch on the
-    //     pool; resilience decorators keep their serial default.
+    //  3. Dispatch: journal and count each query, then hand the whole
+    //     round to GenerateBatch once, in submission order. Under the
+    //     pool's Scope a model whose slots are independent (the simulator)
+    //     serves the batch on the pool; resilience decorators keep their
+    //     serial default.
     std::vector<PendingGeneration> submissions;
     submissions.reserve(batch);
     // Slots [0, ready) passed selection. A selection error stops the
@@ -434,11 +447,12 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
     }
 
     const util::ThreadPool::Scope fan_out(pool.get());
+    std::vector<fm::BatchItem> items;
+    items.reserve(ready);
     for (size_t i = 0; i < ready; ++i) {
       PendingGeneration& sub = submissions[i];
       instruments.Query(sub.choice, /*issued=*/true);
-      CHAMELEON_RETURN_NOT_OK(
-          coalescer.Enqueue(&sub.request, &sub.gen_rng, &sub.result));
+      items.push_back(fm::BatchItem{&sub.request, &sub.gen_rng});
     }
     if (!selection_error.ok()) {
       if (submissions.size() > ready) {
@@ -446,7 +460,14 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       }
       return selection_error;
     }
-    CHAMELEON_RETURN_NOT_OK(coalescer.Flush());
+    std::vector<util::Result<fm::GenerationResult>> results =
+        model_->GenerateBatch(items);
+    if (results.size() != items.size()) {
+      return util::Status::Internal(
+          "GenerateBatch returned " + std::to_string(results.size()) +
+          " results for a batch of " + std::to_string(items.size()));
+    }
+    instruments.Batch(items.size());
 
     // Transport results, in submission order. A transport failure means
     // the model's resilience layer (retries, breaker) already did what
@@ -457,13 +478,10 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
     // run.
     std::vector<PendingCandidate> candidates;
     candidates.reserve(submissions.size());
-    for (PendingGeneration& sub : submissions) {
-      if (!sub.result.has_value()) {
-        return util::Status::Internal(
-            "generation batch left a request unanswered");
-      }
-      if (!sub.result->ok()) {
-        const util::Status& failure = sub.result->status();
+    for (size_t i = 0; i < submissions.size(); ++i) {
+      PendingGeneration& sub = submissions[i];
+      if (!results[i].ok()) {
+        const util::Status& failure = results[i].status();
         if (!fm::IsTransportError(failure.code())) return failure;
         ++report->faults.transport_failures;
         if (!parked) report->faults.parked_targets.push_back(target);
@@ -473,7 +491,7 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       }
       ++report->queries;
 
-      fm::GenerationResult generation = std::move(**sub.result);
+      fm::GenerationResult generation = std::move(*results[i]);
       PendingCandidate candidate;
       candidate.choice = std::move(sub.choice);
       candidate.image = std::move(generation.image);
@@ -508,7 +526,7 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       selector->ReportReward(target, c.choice, c.outcome.Passed());
       // Routing feedback, strictly in submission order: a learning
       // router (BackendPool + LinUCB) must see the same update sequence
-      // at every thread count and transport batch size.
+      // at every thread count.
       model_->ReportOutcome(c.backend, c.outcome.Passed());
       instruments.Verdict(c.outcome, c.choice.arm);
 

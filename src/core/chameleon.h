@@ -55,28 +55,16 @@ struct ChameleonOptions {
   /// bit-identical at every setting — the batch structure and merge
   /// order never depend on the worker count.
   int num_threads = 0;
-  /// Candidates per round of the generate→embed→reject loop. 1 (the
-  /// default) is the one-query-at-a-time loop: every candidate is merged
-  /// before the next is selected. Larger rounds unlock parallel masks and
-  /// evaluation but delay bandit feedback and corpus growth until the
-  /// round's deterministic in-order merge, so runs with different round
-  /// sizes may diverge; runs with different num_threads never do.
+  /// Candidates per round of the generate→embed→reject loop, and the size
+  /// of the round's one GenerateBatch dispatch (DESIGN.md §11 "One round,
+  /// one dispatch"). 1 (the default) is the one-query-at-a-time loop:
+  /// every candidate is merged before the next is selected, and no
+  /// `fm.batch` event is recorded. Larger rounds unlock parallel masks,
+  /// generation and evaluation but delay bandit feedback and corpus
+  /// growth until the round's deterministic in-order merge, so runs with
+  /// different round sizes may diverge; runs with different num_threads
+  /// never do.
   int rejection_batch = 1;
-  /// Transport batch cap for foundation-model queries (DESIGN.md §11):
-  /// every query goes through the BatchCoalescer, which groups up to
-  /// this many into one GenerateBatch dispatch. 0 (the default) follows
-  /// rejection_batch; 1 dispatches each query alone, with no `fm.batch`
-  /// events. Grouping is pure transport: each request owns a forked rng
-  /// stream and every result is handled alike, so accepted tuples and
-  /// parked entries are bit-identical at every setting.
-  int fm_batch_size = 0;
-  /// Coalescer flush window in virtual milliseconds (the coalescer's own
-  /// arrival axis, never a wall clock). A batch also flushes when it
-  /// reaches the batch size, and is force-flushed at the end of every
-  /// rejection round — results are needed before evaluation can start.
-  /// Arrivals tick 1 ms apart, so the default window caps every
-  /// dispatch at 5 requests (DESIGN.md §11 "Window in practice").
-  double batch_window_ms = 5.0;
   /// Router policy for multi-backend models (fm::BackendPool); forwarded
   /// to the model at the start of every run. Single-backend models
   /// ignore it.

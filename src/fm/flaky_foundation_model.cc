@@ -23,8 +23,10 @@ util::Result<GenerationResult> FlakyFoundationModel::Generate(
     return util::Status::Unavailable("scripted crash: backend dead since query " +
                                      std::to_string(options_.fail_from_query));
   }
+  // Measured from the window's start, so a window reaching past
+  // INT64_MAX (both ends come off the wire) cannot overflow.
   if (options_.outage_start >= 0 && call >= options_.outage_start &&
-      call < options_.outage_start + options_.outage_length) {
+      call - options_.outage_start < options_.outage_length) {
     ++counters_.scripted;
     return util::Status::Unavailable("scripted outage window");
   }

@@ -1,8 +1,8 @@
-// Batched FM queries: the BatchCoalescer's flush triggers, the
-// BackendPool's routing and slot-order contracts, and the pipeline-level
-// determinism guarantee — accepted tuples are bit-identical across fm
-// batch sizes and thread counts, with and without injected faults
-// (DESIGN.md §11).
+// Batched FM queries: one GenerateBatch dispatch per rejection round,
+// the BackendPool's routing and slot-order contracts, and the
+// pipeline-level determinism guarantee — accepted tuples are
+// bit-identical across transports and thread counts, with and without
+// injected faults (DESIGN.md §11).
 
 #include <cstdint>
 #include <cstdio>
@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "src/datasets/feret.h"
 #include "src/embedding/simulated_embedder.h"
 #include "src/fm/backend_pool.h"
-#include "src/fm/batching.h"
 #include "src/fm/evaluator_pool.h"
 #include "src/fm/flaky_foundation_model.h"
 #include "src/fm/foundation_model.h"
@@ -32,14 +32,8 @@
 namespace chameleon::fm {
 namespace {
 
-// ---------------------------------------------------------------------------
-// BatchCoalescer flush triggers
-// ---------------------------------------------------------------------------
-
-/// Deterministic backend that records the size of every batch it serves.
-/// Each result echoes the request's values and stamps latent_realism from
-/// the model's own call counter, so slot routing mistakes are visible.
-class RecordingModel : public FoundationModel {
+/// Deterministic backend whose results echo the request's values.
+class EchoModel : public FoundationModel {
  public:
   [[nodiscard]] util::Result<GenerationResult> Generate(
       const GenerationRequest& request, util::Rng* /*rng*/) override {
@@ -47,22 +41,10 @@ class RecordingModel : public FoundationModel {
     GenerationResult result;
     result.image = image::Image(2, 2, 3, 7);
     result.values = request.target_values;
-    result.latent_realism = static_cast<double>(calls_++);
     return result;
   }
 
-  [[nodiscard]] std::vector<util::Result<GenerationResult>> GenerateBatch(
-      std::span<const BatchItem> items) override {
-    batch_sizes_.push_back(static_cast<int>(items.size()));
-    return FoundationModel::GenerateBatch(items);
-  }
-
   double query_cost() const override { return 1.0; }
-  const std::vector<int>& batch_sizes() const { return batch_sizes_; }
-
- private:
-  std::vector<int> batch_sizes_;
-  int64_t calls_ = 0;
 };
 
 GenerationRequest RequestFor(int i) {
@@ -71,142 +53,34 @@ GenerationRequest RequestFor(int i) {
   return request;
 }
 
-TEST(BatchCoalescerTest, SizeTriggerFlushesFullBatches) {
-  RecordingModel model;
-  BatchCoalescerOptions options;
-  options.max_batch_size = 3;
-  options.window_ms = 1e9;  // never trips
-  BatchCoalescer coalescer(&model, options);
+// ---------------------------------------------------------------------------
+// Default GenerateBatch == loop over Generate
+// ---------------------------------------------------------------------------
 
-  std::vector<GenerationRequest> requests;
-  std::vector<util::Rng> rngs;
-  std::vector<BatchCoalescer::Slot> slots(7);
-  for (int i = 0; i < 7; ++i) {
-    requests.push_back(RequestFor(i));
-    rngs.emplace_back(static_cast<uint64_t>(i));
-  }
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(coalescer.Enqueue(&requests[i], &rngs[i], &slots[i]).ok());
-  }
-  // Two full batches of 3 flushed on size; the 7th request still pending.
-  EXPECT_EQ(model.batch_sizes(), (std::vector<int>{3, 3}));
-  EXPECT_EQ(coalescer.pending(), 1u);
-  EXPECT_FALSE(slots[6].has_value());
-
-  ASSERT_TRUE(coalescer.Flush().ok());
-  EXPECT_EQ(model.batch_sizes(), (std::vector<int>{3, 3, 1}));
-  EXPECT_EQ(coalescer.pending(), 0u);
-
-  const BatchCoalescerStats& stats = coalescer.stats();
-  EXPECT_EQ(stats.enqueued, 7);
-  EXPECT_EQ(stats.flushes, 3);
-  EXPECT_EQ(stats.flushed_requests, 7);
-  EXPECT_EQ(stats.size_flushes, 2);
-  EXPECT_EQ(stats.window_flushes, 0);
-  EXPECT_EQ(stats.forced_flushes, 1);
-  EXPECT_EQ(stats.max_batch, 3);
-
-  // Every slot answered, in arrival order, with its own request's values.
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(slots[i].has_value()) << "slot " << i;
-    ASSERT_TRUE(slots[i]->ok());
-    EXPECT_EQ((*slots[i])->values, requests[i].target_values);
-    EXPECT_DOUBLE_EQ((*slots[i])->latent_realism, static_cast<double>(i));
-  }
-}
-
-TEST(BatchCoalescerTest, WindowTriggerFlushesAgedBatch) {
-  RecordingModel model;
-  BatchCoalescerOptions options;
-  options.max_batch_size = 100;
-  options.window_ms = 2.5;
-  options.arrival_interval_ms = 1.0;
-  BatchCoalescer coalescer(&model, options);
-
-  std::vector<GenerationRequest> requests;
-  std::vector<util::Rng> rngs;
-  std::vector<BatchCoalescer::Slot> slots(5);
-  for (int i = 0; i < 5; ++i) {
-    requests.push_back(RequestFor(i));
-    rngs.emplace_back(static_cast<uint64_t>(i));
-  }
-  // Arrivals at t = 0,1,2,3,4 ms. The arrival at t=3 ages the window
-  // opened at t=0 past 2.5 ms, so {0,1,2} flush before 3 is queued; the
-  // same happens again when a later arrival would age the new window.
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(coalescer.Enqueue(&requests[i], &rngs[i], &slots[i]).ok());
-  }
-  EXPECT_EQ(model.batch_sizes(), (std::vector<int>{3}));
-  EXPECT_EQ(coalescer.stats().window_flushes, 1);
-  EXPECT_EQ(coalescer.pending(), 2u);
-
-  ASSERT_TRUE(coalescer.Flush().ok());
-  EXPECT_EQ(model.batch_sizes(), (std::vector<int>{3, 2}));
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(slots[i].has_value());
-    ASSERT_TRUE(slots[i]->ok());
-    EXPECT_EQ((*slots[i])->values, requests[i].target_values);
-  }
-}
-
-TEST(BatchCoalescerTest, FlushOnEmptyIsANoOp) {
-  RecordingModel model;
-  BatchCoalescer coalescer(&model, {});
-  ASSERT_TRUE(coalescer.Flush().ok());
-  ASSERT_TRUE(coalescer.Flush().ok());
-  EXPECT_EQ(coalescer.stats().flushes, 0);
-  EXPECT_TRUE(model.batch_sizes().empty());
-}
-
-TEST(BatchCoalescerTest, EnqueueRejectsNullArguments) {
-  RecordingModel model;
-  BatchCoalescer coalescer(&model, {});
-  GenerationRequest request = RequestFor(0);
-  util::Rng rng(1);
-  BatchCoalescer::Slot slot;
-  EXPECT_EQ(coalescer.Enqueue(nullptr, &rng, &slot).code(),
-            util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(coalescer.Enqueue(&request, nullptr, &slot).code(),
-            util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(coalescer.Enqueue(&request, &rng, nullptr).code(),
-            util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(coalescer.pending(), 0u);
-}
-
-TEST(BatchCoalescerTest, PerRequestFailuresLandInTheirOwnSlots) {
+TEST(FoundationModelTest, PerRequestFailuresLandInTheirOwnSlots) {
   // A failing request must not poison its batchmates: the default
   // GenerateBatch carries each per-request error in its own slot.
   FlakyOptions flaky_options;
   flaky_options.outage_start = 1;  // second call in the batch fails
   flaky_options.outage_length = 1;
-  RecordingModel inner;
+  EchoModel inner;
   FlakyFoundationModel model(&inner, flaky_options);
 
-  BatchCoalescerOptions options;
-  options.max_batch_size = 3;
-  BatchCoalescer coalescer(&model, options);
   std::vector<GenerationRequest> requests;
   std::vector<util::Rng> rngs;
-  std::vector<BatchCoalescer::Slot> slots(3);
-  requests.reserve(3);  // enqueued pointers must survive the loop
-  rngs.reserve(3);
   for (int i = 0; i < 3; ++i) {
     requests.push_back(RequestFor(i));
     rngs.emplace_back(static_cast<uint64_t>(i));
-    ASSERT_TRUE(coalescer.Enqueue(&requests[i], &rngs[i], &slots[i]).ok());
   }
-  ASSERT_TRUE(slots[0].has_value());
-  ASSERT_TRUE(slots[1].has_value());
-  ASSERT_TRUE(slots[2].has_value());
-  EXPECT_TRUE(slots[0]->ok());
-  EXPECT_EQ(slots[1]->status().code(), util::StatusCode::kUnavailable);
-  EXPECT_TRUE(slots[2]->ok());
-  EXPECT_EQ((*slots[2])->values, requests[2].target_values);
+  std::vector<BatchItem> items;
+  for (int i = 0; i < 3; ++i) items.push_back(BatchItem{&requests[i], &rngs[i]});
+  const auto results = model.GenerateBatch(items);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_EQ(results[1].status().code(), util::StatusCode::kUnavailable);
+  ASSERT_TRUE(results[2].ok());
+  EXPECT_EQ(results[2]->values, requests[2].target_values);
 }
-
-// ---------------------------------------------------------------------------
-// Default GenerateBatch == loop over Generate
-// ---------------------------------------------------------------------------
 
 TEST(FoundationModelTest, DefaultGenerateBatchMatchesLoopOverGenerate) {
   const auto schema = datasets::FeretSchema();
@@ -394,56 +268,237 @@ TEST(BackendPoolTest, BatchingSameRequestsIsBitIdenticalToSingles) {
 }  // namespace chameleon::fm
 
 // ---------------------------------------------------------------------------
-// Pipeline-level bit-identity across batch sizes and thread counts
+// Pipeline-level dispatch and bit-identity across transports and threads
 // ---------------------------------------------------------------------------
 
 namespace chameleon::core {
 namespace {
+
+/// Forwards every FoundationModel hook to `wrapped` except GenerateBatch,
+/// which keeps the default loop over Generate: each query of a round is
+/// served as its own call, whatever the wrapped model's batch path does.
+class SinglesOnlyModel : public fm::FoundationModel {
+ public:
+  explicit SinglesOnlyModel(fm::FoundationModel* wrapped) : wrapped_(wrapped) {}
+
+  [[nodiscard]] util::Result<fm::GenerationResult> Generate(
+      const fm::GenerationRequest& request, util::Rng* rng) override {
+    RecordQuery();
+    return wrapped_->Generate(request, rng);
+  }
+  double query_cost() const override { return wrapped_->query_cost(); }
+  void ReportOutcome(int backend, bool accepted) override {
+    wrapped_->ReportOutcome(backend, accepted);
+  }
+  void set_backend_router(fm::BackendRouterKind kind) override {
+    wrapped_->set_backend_router(kind);
+  }
+  void OnRunStart() override { wrapped_->OnRunStart(); }
+  const fm::FaultTelemetry* fault_telemetry() const override {
+    return wrapped_->fault_telemetry();
+  }
+  void set_observability(obs::Observability* observability) override {
+    wrapped_->set_observability(observability);
+  }
+  void set_deadline(fm::Deadline* deadline) override {
+    wrapped_->set_deadline(deadline);
+  }
+
+ private:
+  fm::FoundationModel* wrapped_;
+};
+
+/// Records the size of every GenerateBatch call, then answers it through
+/// the wrapped model's own batch path — or one result short, when
+/// `drop_last` is set, to break the slot-count contract.
+class CountingModel : public fm::FoundationModel {
+ public:
+  CountingModel(fm::FoundationModel* wrapped, bool drop_last = false)
+      : wrapped_(wrapped), drop_last_(drop_last) {}
+
+  [[nodiscard]] util::Result<fm::GenerationResult> Generate(
+      const fm::GenerationRequest& request, util::Rng* rng) override {
+    return wrapped_->Generate(request, rng);
+  }
+  [[nodiscard]] std::vector<util::Result<fm::GenerationResult>> GenerateBatch(
+      std::span<const fm::BatchItem> items) override {
+    batch_sizes_.push_back(static_cast<int>(items.size()));
+    std::vector<util::Result<fm::GenerationResult>> results =
+        wrapped_->GenerateBatch(items);
+    if (drop_last_ && !results.empty()) results.pop_back();
+    return results;
+  }
+  double query_cost() const override { return wrapped_->query_cost(); }
+  const std::vector<int>& batch_sizes() const { return batch_sizes_; }
+
+ private:
+  fm::FoundationModel* wrapped_;
+  bool drop_last_;
+  std::vector<int> batch_sizes_;
+};
+
+/// A fresh FERET corpus and its simulated foundation model.
+struct FeretWorld {
+  embedding::SimulatedEmbedder embedder;
+  fm::EvaluatorPool evaluators{2024};
+  fm::Corpus corpus =
+      *datasets::MakeFeret(&embedder, datasets::FeretOptions());
+  fm::SimulatedFoundationModel sim{corpus.dataset.schema(),
+                                   datasets::FeretFaceStyleFn(),
+                                   datasets::FeretScene(),
+                                   fm::SimulatedFoundationModel::Options()};
+};
+
+/// The FERET repair every determinism cell runs: tau 40, seed 11, rounds
+/// of 32.
+ChameleonOptions FeretRepairOptions(int threads) {
+  ChameleonOptions options;
+  options.tau = 40;
+  options.seed = 11;
+  options.num_threads = threads;
+  options.rejection_batch = 32;
+  return options;
+}
+
+TEST(RoundDispatchTest, OneGenerateBatchCallPerRoundSizedToTheRound) {
+  // The `size` field of every journaled `fm.batch` event, in order.
+  auto journal_batches = [](const obs::Observability& observability) {
+    std::vector<int> sizes;
+    std::stringstream journal(observability.journal.ToJsonl());
+    for (std::string line; std::getline(journal, line);) {
+      if (line.find("\"type\":\"fm.batch\"") == std::string::npos) continue;
+      sizes.push_back(std::stoi(line.substr(line.find("\"size\":") + 7)));
+    }
+    return sizes;
+  };
+  for (int rejection_batch : {1, 8}) {
+    SCOPED_TRACE("rejection_batch=" + std::to_string(rejection_batch));
+    FeretWorld world;
+    CountingModel model(&world.sim);
+    obs::Observability observability;
+    ChameleonOptions options = FeretRepairOptions(/*threads=*/2);
+    options.rejection_batch = rejection_batch;
+    options.observability = &observability;
+    Chameleon system(&model, &world.embedder, &world.evaluators, options);
+    auto report = system.RepairMinLevelMups(&world.corpus);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    // One call per round: each round opens one `rejection.batch` span.
+    const std::string trace = observability.tracer.ToJsonl();
+    int64_t rounds = 0;
+    for (size_t at = trace.find("\"name\":\"rejection.batch\"");
+         at != std::string::npos;
+         at = trace.find("\"name\":\"rejection.batch\"", at + 1)) {
+      ++rounds;
+    }
+    const std::vector<int>& sizes = model.batch_sizes();
+    ASSERT_EQ(static_cast<int64_t>(sizes.size()), rounds);
+
+    // Each call carries its whole round, and only it: the sizes add up to
+    // every query the run issued.
+    int64_t total = 0;
+    for (int size : sizes) {
+      EXPECT_GE(size, 1);
+      EXPECT_LE(size, rejection_batch);
+      total += size;
+    }
+    EXPECT_EQ(total, world.sim.num_queries());
+    EXPECT_EQ(total, report->queries);
+    if (rejection_batch == 1) {
+      EXPECT_EQ(journal_batches(observability), std::vector<int>());
+      continue;
+    }
+
+    // A round journals its `fm.query` events, then one `fm.batch` after
+    // the dispatch: every batch event is sized to the queries before it,
+    // and the events mirror the calls in order.
+    std::vector<int> round_queries;
+    int pending = 0;
+    std::stringstream journal(observability.journal.ToJsonl());
+    for (std::string line; std::getline(journal, line);) {
+      if (line.find("\"type\":\"fm.query\"") != std::string::npos) ++pending;
+      if (line.find("\"type\":\"fm.batch\"") != std::string::npos) {
+        round_queries.push_back(pending);
+        pending = 0;
+      }
+    }
+    EXPECT_EQ(pending, 0);
+    EXPECT_EQ(round_queries, sizes);
+    EXPECT_EQ(journal_batches(observability), sizes);
+    EXPECT_EQ(observability.registry.Counter("fm.batch.flushes")->value(),
+              rounds);
+    EXPECT_EQ(observability.registry.Counter("fm.batch.requests")->value(),
+              total);
+  }
+}
+
+TEST(RoundDispatchTest, ShortResultVectorFailsTheRunWithInternal) {
+  // GenerateBatch must answer every slot. A model that drops one result
+  // breaks that contract, and the run stops instead of misaligning
+  // results with their requests.
+  FeretWorld world;
+  CountingModel model(&world.sim, /*drop_last=*/true);
+  ChameleonOptions options = FeretRepairOptions(/*threads=*/1);
+  options.rejection_batch = 8;
+  Chameleon system(&model, &world.embedder, &world.evaluators, options);
+  auto report = system.RepairMinLevelMups(&world.corpus);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), util::StatusCode::kInternal);
+  EXPECT_EQ(model.batch_sizes(), (std::vector<int>{8}));
+}
 
 struct PipelineRun {
   RepairReport report;
   int64_t synthetic = 0;
 };
 
-/// One full repair over a fresh FERET corpus with the given fm transport
-/// batch size (1 = one query per dispatch, 0 = follow rejection_batch).
-/// When `faults` is set, the model stack is resilient(flaky(simulator))
-/// with a 30% transient rate and a retry budget that masks everything.
-PipelineRun RunBatchedRepair(int fm_batch, int threads, bool faults) {
-  embedding::SimulatedEmbedder embedder;
-  fm::EvaluatorPool evaluators(2024);
-  fm::Corpus corpus =
-      *datasets::MakeFeret(&embedder, datasets::FeretOptions());
-  fm::SimulatedFoundationModel sim(corpus.dataset.schema(),
-                                   datasets::FeretFaceStyleFn(),
-                                   datasets::FeretScene(),
-                                   fm::SimulatedFoundationModel::Options());
+/// The model stacks of the determinism matrix.
+enum class Transport {
+  kSimulator,   ///< the simulator's own GenerateBatch, fanned out on the pool
+  kMaskedFaults,  ///< resilient(flaky(simulator)), every fault masked
+  kSinglesOnly,   ///< one Generate call per query (SinglesOnlyModel)
+};
+
+const char* TransportName(Transport transport) {
+  switch (transport) {
+    case Transport::kSimulator:
+      return "simulator";
+    case Transport::kMaskedFaults:
+      return "resilient(flaky(simulator))";
+    case Transport::kSinglesOnly:
+      return "singles-only";
+  }
+  return "unknown";
+}
+
+/// One full repair over a fresh FERET corpus. kMaskedFaults injects a
+/// 30% transient rate under a retry budget that masks everything.
+PipelineRun RunBatchedRepair(Transport transport, int threads) {
+  FeretWorld world;
   std::unique_ptr<fm::FlakyFoundationModel> flaky_model;
-  std::unique_ptr<fm::ResilientFoundationModel> resilient_model;
-  fm::FoundationModel* model = &sim;
-  if (faults) {
+  std::unique_ptr<fm::FoundationModel> wrapper;
+  fm::FoundationModel* model = &world.sim;
+  if (transport == Transport::kMaskedFaults) {
     fm::FlakyOptions flaky;
     flaky.seed = 555;
     flaky.transient_rate = 0.3;
     fm::ResilienceOptions resilience;
     resilience.max_attempts = 64;
     resilience.breaker_failure_threshold = 1 << 30;
-    flaky_model = std::make_unique<fm::FlakyFoundationModel>(&sim, flaky);
-    resilient_model = std::make_unique<fm::ResilientFoundationModel>(
+    flaky_model = std::make_unique<fm::FlakyFoundationModel>(&world.sim, flaky);
+    wrapper = std::make_unique<fm::ResilientFoundationModel>(
         flaky_model.get(), resilience);
-    model = resilient_model.get();
+    model = wrapper.get();
+  } else if (transport == Transport::kSinglesOnly) {
+    wrapper = std::make_unique<SinglesOnlyModel>(&world.sim);
+    model = wrapper.get();
   }
 
-  ChameleonOptions options;
-  options.tau = 40;
-  options.seed = 11;
-  options.num_threads = threads;
-  options.rejection_batch = 32;
-  options.fm_batch_size = fm_batch;
-  Chameleon system(model, &embedder, &evaluators, options);
-  auto report = system.RepairMinLevelMups(&corpus);
+  Chameleon system(model, &world.embedder, &world.evaluators,
+                   FeretRepairOptions(threads));
+  auto report = system.RepairMinLevelMups(&world.corpus);
   EXPECT_TRUE(report.ok());
-  return {*report, corpus.dataset.NumSynthetic()};
+  return {*report, world.corpus.dataset.NumSynthetic()};
 }
 
 void ExpectSameAcceptedTuples(const RepairReport& a, const RepairReport& b) {
@@ -497,95 +552,69 @@ std::string ReportDigest(const RepairReport& report) {
 }
 
 /// ReportDigest of the fault-free RunBatchedRepair (72 queries, 51
-/// accepted), captured from the one-dispatch-per-query pipeline before
-/// every query went through the coalescer. Every cell of both matrices
-/// below must reproduce it.
+/// accepted), captured from the one-dispatch-per-query pipeline. Every
+/// cell of the matrix below must reproduce it.
 constexpr const char* kReferenceReportDigest = "3b61c5ae14b7fac5";
 
-TEST(BatchingDeterminismTest, AcceptedTuplesBitIdenticalAcrossBatchSizes) {
-  // Acceptance criterion: grouping queries into transport batches must
-  // not change a single accepted tuple. Baseline is one query per
-  // dispatch (fm_batch = 1) at one thread; every batched configuration —
-  // including the follow-rejection_batch default (0) — must match it
-  // bit for bit at every thread count, and all of them must match the
-  // pinned reference digest.
+TEST(BatchingDeterminismTest, EveryTransportAndThreadCountMatchesTheReference) {
+  // Acceptance criterion: how a round's queries reach the model must not
+  // change a single accepted tuple. Baseline is one Generate call per
+  // query at one thread; the simulator's batch path (fanned out on the
+  // round's pool) and the resilience stack under a 30% masked fault rate
+  // must match it bit for bit at every thread count, and every cell must
+  // match the pinned reference digest.
   const PipelineRun baseline =
-      RunBatchedRepair(/*fm_batch=*/1, /*threads=*/1, /*faults=*/false);
+      RunBatchedRepair(Transport::kSinglesOnly, /*threads=*/1);
   ASSERT_GT(baseline.report.accepted, 0);
-  EXPECT_EQ(ReportDigest(baseline.report), kReferenceReportDigest);
 
-  for (int fm_batch : {0, 8, 32}) {
+  for (Transport transport : {Transport::kSimulator, Transport::kMaskedFaults,
+                              Transport::kSinglesOnly}) {
     for (int threads : {1, 2, 8}) {
-      const PipelineRun run = RunBatchedRepair(fm_batch, threads, false);
-      SCOPED_TRACE("fm_batch=" + std::to_string(fm_batch) +
+      SCOPED_TRACE(std::string(TransportName(transport)) +
                    " threads=" + std::to_string(threads));
+      const PipelineRun run = RunBatchedRepair(transport, threads);
       ExpectSameAcceptedTuples(baseline.report, run.report);
       EXPECT_EQ(baseline.synthetic, run.synthetic);
       EXPECT_EQ(ReportDigest(run.report), kReferenceReportDigest);
-    }
-  }
-}
-
-TEST(BatchingDeterminismTest, MaskedFaultsPreserveTuplesAtEveryBatchSize) {
-  // The same matrix under a 30% injected transient-fault rate: the retry
-  // layer masks every fault (checkpointing the per-request RNG), so the
-  // batched runs still reproduce the fault-free baseline exactly.
-  const PipelineRun baseline =
-      RunBatchedRepair(/*fm_batch=*/1, /*threads=*/1, /*faults=*/false);
-  ASSERT_GT(baseline.report.accepted, 0);
-
-  for (int fm_batch : {1, 8, 32}) {
-    for (int threads : {1, 2, 8}) {
-      const PipelineRun run = RunBatchedRepair(fm_batch, threads, true);
-      SCOPED_TRACE("fm_batch=" + std::to_string(fm_batch) +
-                   " threads=" + std::to_string(threads));
-      ExpectSameAcceptedTuples(baseline.report, run.report);
-      EXPECT_EQ(baseline.synthetic, run.synthetic);
-      EXPECT_EQ(ReportDigest(run.report), kReferenceReportDigest);
-      EXPECT_GT(run.report.faults.transport.faults_masked, 0);
-      EXPECT_EQ(run.report.faults.transport.failed_queries, 0);
-      EXPECT_EQ(run.report.faults.parked_entries(), 0);
+      if (transport == Transport::kMaskedFaults) {
+        EXPECT_GT(run.report.faults.transport.faults_masked, 0);
+        EXPECT_EQ(run.report.faults.transport.failed_queries, 0);
+        EXPECT_EQ(run.report.faults.parked_entries(), 0);
+      }
     }
   }
 }
 
 TEST(BatchingDeterminismTest, PoolPipelineIsDeterministicAcrossConfigs) {
   // End to end with the multi-backend pool and the learned router: the
-  // router trains only on the serial merge path, so batching and thread
-  // count still cannot perturb routing or results.
-  auto run_with_pool = [](int fm_batch, int threads) {
-    embedding::SimulatedEmbedder embedder;
-    fm::EvaluatorPool evaluators(2024);
-    fm::Corpus corpus =
-        *datasets::MakeFeret(&embedder, datasets::FeretOptions());
+  // router trains only on the serial merge path, so neither the pool's
+  // batch path nor the thread count can perturb routing or results.
+  auto run_with_pool = [](bool singles_only, int threads) {
+    FeretWorld world;
     fm::SimulatedBackendPool pool = fm::MakeSimulatedBackendPool(
-        corpus.dataset.schema(), datasets::FeretFaceStyleFn(),
+        world.corpus.dataset.schema(), datasets::FeretFaceStyleFn(),
         datasets::FeretScene(), fm::SimulatedPoolOptions());
-    ChameleonOptions options;
-    options.tau = 40;
-    options.seed = 11;
-    options.num_threads = threads;
-    options.rejection_batch = 32;
-    options.fm_batch_size = fm_batch;
+    SinglesOnlyModel singles(pool.pool.get());
+    fm::FoundationModel* model =
+        singles_only ? static_cast<fm::FoundationModel*>(&singles)
+                     : pool.pool.get();
+    ChameleonOptions options = FeretRepairOptions(threads);
     options.backend_router = fm::BackendRouterKind::kLinUcb;
-    Chameleon system(pool.pool.get(), &embedder, &evaluators, options);
-    auto report = system.RepairMinLevelMups(&corpus);
+    Chameleon system(model, &world.embedder, &world.evaluators, options);
+    auto report = system.RepairMinLevelMups(&world.corpus);
     EXPECT_TRUE(report.ok());
-    PipelineRun run{*report, corpus.dataset.NumSynthetic()};
+    PipelineRun run{*report, world.corpus.dataset.NumSynthetic()};
     EXPECT_EQ(pool.pool->backend_router(), fm::BackendRouterKind::kLinUcb);
     return run;
   };
 
-  const PipelineRun baseline = run_with_pool(/*fm_batch=*/1, /*threads=*/1);
+  const PipelineRun baseline = run_with_pool(/*singles_only=*/true, 1);
   ASSERT_GT(baseline.report.accepted, 0);
-  for (int fm_batch : {8, 32}) {
-    for (int threads : {1, 8}) {
-      const PipelineRun run = run_with_pool(fm_batch, threads);
-      SCOPED_TRACE("fm_batch=" + std::to_string(fm_batch) +
-                   " threads=" + std::to_string(threads));
-      ExpectSameAcceptedTuples(baseline.report, run.report);
-      EXPECT_EQ(baseline.synthetic, run.synthetic);
-    }
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const PipelineRun run = run_with_pool(/*singles_only=*/false, threads);
+    ExpectSameAcceptedTuples(baseline.report, run.report);
+    EXPECT_EQ(baseline.synthetic, run.synthetic);
   }
 }
 
@@ -593,36 +622,29 @@ TEST(BatchingDeterminismTest, BatchedModeParksPerFailureAndKeepsBatchmates) {
   // A scripted outage inside a round (no retry layer) parks the entries
   // it hit — one fm.parked increment per failed result — while the OK
   // results from the same round are still evaluated and merged. How the
-  // round was split into dispatches does not matter: one query per
-  // dispatch and one batch of 8 give the same report.
+  // round reached the model does not matter: one Generate call per query
+  // and one batch of 8 give the same report.
   struct ParkedRun {
     RepairReport report;
     int64_t fm_parked = 0;
     int64_t model_queries = 0;
   };
-  auto run_outage = [](int fm_batch) {
-    embedding::SimulatedEmbedder embedder;
-    fm::EvaluatorPool evaluators(2024);
-    fm::Corpus corpus =
-        *datasets::MakeFeret(&embedder, datasets::FeretOptions());
-    fm::SimulatedFoundationModel sim(corpus.dataset.schema(),
-                                     datasets::FeretFaceStyleFn(),
-                                     datasets::FeretScene(),
-                                     fm::SimulatedFoundationModel::Options());
+  auto run_outage = [](bool singles_only) {
+    FeretWorld world;
     fm::FlakyOptions flaky;
     flaky.outage_start = 2;
     flaky.outage_length = 3;
-    fm::FlakyFoundationModel model(&sim, flaky);
+    fm::FlakyFoundationModel model(&world.sim, flaky);
+    SinglesOnlyModel singles(&model);
 
     obs::Observability observability;
-    ChameleonOptions options;
-    options.tau = 40;
-    options.seed = 11;
+    ChameleonOptions options = FeretRepairOptions(/*threads=*/1);
     options.rejection_batch = 8;
-    options.fm_batch_size = fm_batch;
     options.observability = &observability;
-    Chameleon system(&model, &embedder, &evaluators, options);
-    auto report = system.RepairMinLevelMups(&corpus);
+    Chameleon system(singles_only ? static_cast<fm::FoundationModel*>(&singles)
+                                  : &model,
+                     &world.embedder, &world.evaluators, options);
+    auto report = system.RepairMinLevelMups(&world.corpus);
     EXPECT_TRUE(report.ok());
     // The outage hit real queries.
     EXPECT_EQ(model.counters().scripted, 3);
@@ -631,8 +653,8 @@ TEST(BatchingDeterminismTest, BatchedModeParksPerFailureAndKeepsBatchmates) {
                      model.num_queries()};
   };
 
-  const ParkedRun single = run_outage(/*fm_batch=*/1);
-  const ParkedRun batched = run_outage(/*fm_batch=*/8);
+  const ParkedRun single = run_outage(/*singles_only=*/true);
+  const ParkedRun batched = run_outage(/*singles_only=*/false);
   for (const ParkedRun* run : {&single, &batched}) {
     // At least one entry parked, with one parked count per failed
     // result, not per entry...

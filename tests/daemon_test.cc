@@ -404,7 +404,50 @@ TEST(ProtocolTest, OutOfRangeIntegerFieldsRejectedNotNarrowed) {
     }
   }
 
-  // In-range values still parse as given.
+  // The int64 fields: a cast of 1e19, 1e30 or infinity (1e400 parses as
+  // inf) to int64 would be undefined, so each is rejected naming its field.
+  for (const std::string value : {"1e19", "-1e19", "1e30", "1e400"}) {
+    for (const std::string field : {"tau", "seed", "max_queries"}) {
+      SCOPED_TRACE(field + "=" + value);
+      auto parsed = ParseRequestFrame("{\"type\":\"repair\",\"id\":\"r\",\"" +
+                                      field + "\":" + value + "}");
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find(field), std::string::npos);
+    }
+    for (const std::string field :
+         {"seed", "fail_from_query", "outage_start", "outage_length"}) {
+      SCOPED_TRACE("faults." + field + "=" + value);
+      auto parsed = ParseRequestFrame(
+          "{\"type\":\"repair\",\"id\":\"r\",\"faults\":{\"" + field +
+          "\":" + value + "}}");
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find(field), std::string::npos);
+    }
+    SCOPED_TRACE("resilience.seed=" + value);
+    auto parsed = ParseRequestFrame(
+        "{\"type\":\"repair\",\"id\":\"r\",\"resilience\":{\"seed\":" +
+        value + "}}");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+  }
+
+  // In-range values still parse as given; a negative seed keeps its bits.
+  auto wide = ParseRequestFrame(
+      "{\"type\":\"repair\",\"id\":\"r\",\"tau\":1e15,\"seed\":-1,"
+      "\"max_queries\":1e12,\"faults\":{\"seed\":5,\"fail_from_query\":9,"
+      "\"outage_start\":2,\"outage_length\":3},\"resilience\":{\"seed\":6}}");
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_EQ(wide->spec.tau, int64_t{1000000000000000});
+  EXPECT_EQ(wide->spec.seed, UINT64_MAX);
+  EXPECT_EQ(wide->spec.max_queries, int64_t{1000000000000});
+  EXPECT_EQ(wide->spec.faults.seed, 5u);
+  EXPECT_EQ(wide->spec.faults.fail_from_query, 9);
+  EXPECT_EQ(wide->spec.faults.outage_start, 2);
+  EXPECT_EQ(wide->spec.faults.outage_length, 3);
+  EXPECT_EQ(wide->spec.resilience.seed, 6u);
+
   auto parsed = ParseRequestFrame(
       "{\"type\":\"repair\",\"id\":\"r\",\"rejection_batch\":8,"
       "\"num_threads\":2,\"resilience\":{\"max_attempts\":5,"
@@ -433,6 +476,25 @@ TEST(ProtocolTest, NumThreadsCappedAtAFixedLimit) {
   for (int64_t threads : {int64_t{kMaxRequestThreads} + 1, int64_t{100000}}) {
     auto parsed = with_threads(threads);
     ASSERT_FALSE(parsed.ok()) << threads;
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ProtocolTest, RejectionBatchCappedAtAFixedLimit) {
+  auto with_batch = [](int64_t batch) {
+    return ParseRequestFrame(
+        "{\"type\":\"repair\",\"id\":\"r\",\"rejection_batch\":" +
+        std::to_string(batch) + "}");
+  };
+  for (int64_t batch : {int64_t{1}, int64_t{8}, int64_t{kMaxRejectionBatch}}) {
+    auto parsed = with_batch(batch);
+    ASSERT_TRUE(parsed.ok()) << batch << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->spec.rejection_batch, batch);
+  }
+  for (int64_t batch : {int64_t{0}, int64_t{kMaxRejectionBatch} + 1,
+                        int64_t{2000000000}}) {
+    auto parsed = with_batch(batch);
+    ASSERT_FALSE(parsed.ok()) << batch;
     EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
   }
 }

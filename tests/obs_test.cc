@@ -735,15 +735,15 @@ std::string StableMetricsDigest(const std::vector<obs::MetricSample>& samples) {
   return Fnv1aHex(flat);
 }
 
-// Golden artifacts of fixed observed repairs (FERET, tau 40, seed 11,
-// default fm_batch_size) at rejection_batch 1 and 8. The thread-count
-// test above only compares runs of one build with each other; these
-// digests pin the journal, trace and stable metrics themselves, so
-// reordering fm.query / fm.batch events or moving work between the serial
-// and parallel stages of a round fails here even when every thread count
-// agrees. The rejection_batch 1 values were captured from the
-// one-dispatch-per-query pipeline, before every query went through the
-// coalescer.
+// Golden artifacts of fixed observed repairs (FERET, tau 40, seed 11) at
+// rejection_batch 1 and 8. The thread-count test above only compares runs
+// of one build with each other; these digests pin the journal, trace and
+// stable metrics themselves, so reordering fm.query / fm.batch events or
+// moving work between the serial and parallel stages of a round fails
+// here even when every thread count agrees. The rejection_batch 1 values
+// were captured from the one-dispatch-per-query pipeline; the
+// rejection_batch 8 values from the one-dispatch-per-round pipeline
+// (13 `fm.batch` events of up to 8 queries each).
 TEST(ObsPipelineTest, RejectionBatchRunMatchesGoldenDigests) {
   struct Golden {
     int rejection_batch;
@@ -753,7 +753,7 @@ TEST(ObsPipelineTest, RejectionBatchRunMatchesGoldenDigests) {
   };
   const Golden goldens[] = {
       {1, "0899f8af0331bfb7", "692a083a55d21fe2", "748174441bb4e925"},
-      {8, "58dcfb96d02adb8a", "f487beb9b90380ef", "9876d78e0995ce8b"},
+      {8, "147f58a17d55f0e6", "1532c8cb7f3d2c33", "593a3fdcc683d517"},
   };
   for (const Golden& golden : goldens) {
     for (int threads : {1, 4}) {

@@ -57,6 +57,20 @@ TEST(JsonParserTest, DecodesEscapes) {
   EXPECT_EQ(value->StringOr("s", ""), "a\"b\\c\nd\te");
 }
 
+TEST(JsonParserTest, IntOrFallsBackOutsideInt64) {
+  auto value = ParseJson(
+      R"({"big": 1e19, "small": -1e19, "inf": 1e400, "edge": -9223372036854775808,)"
+      R"( "frac": -2.75})");
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(value->IntOr("big", 7), 7);
+  EXPECT_EQ(value->IntOr("small", 7), 7);
+  EXPECT_EQ(value->IntOr("inf", 7), 7);
+  EXPECT_EQ(value->IntOr("edge", 7), INT64_MIN);
+  EXPECT_EQ(value->IntOr("frac", 7), -2);
+  EXPECT_FALSE(FitsInt64(9223372036854775808.0));
+  EXPECT_TRUE(FitsInt64(9223372036854774784.0));  // largest double < 2^63
+}
+
 TEST(JsonParserTest, RejectsTruncationAndTrailingContent) {
   EXPECT_FALSE(ParseJson(R"({"type":"run.e)").ok());
   EXPECT_FALSE(ParseJson(R"({"a":1)").ok());

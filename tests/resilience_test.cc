@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -314,6 +315,23 @@ TEST(FlakyModelTest, ScriptedCrashAndOutageWindows) {
   EXPECT_EQ(ok, (std::vector<bool>{true, true, false, false, true, true,
                                    false, false}));
   EXPECT_EQ(flaky.counters().scripted, 4);
+}
+
+TEST(FlakyModelTest, OutageWindowPastInt64MaxStaysOpen) {
+  // start + length overflows int64; the window must still cover every
+  // call from its start on.
+  ScriptedModel backend({});
+  FlakyOptions options;
+  options.outage_start = 1;
+  options.outage_length = std::numeric_limits<int64_t>::max();
+  FlakyFoundationModel flaky(&backend, options);
+  util::Rng rng(1);
+  std::vector<bool> ok;
+  for (int i = 0; i < 4; ++i) {
+    ok.push_back(flaky.Generate(SimpleRequest(), &rng).ok());
+  }
+  EXPECT_EQ(ok, (std::vector<bool>{true, false, false, false}));
+  EXPECT_EQ(flaky.counters().scripted, 3);
 }
 
 TEST(FlakyModelTest, MalformedInjectionMangledArityOrImage) {
@@ -631,9 +649,9 @@ class TerminalFailureModel : public fm::FoundationModel {
 TEST(PipelineDegradationTest, TerminalFailureAbortsTheRunAtEveryBatchSize) {
   // Only transport codes park an entry. A terminal code means the
   // request itself is wrong, so the run fails with that code whether
-  // the query was dispatched alone or inside a batch.
-  for (int fm_batch : {1, 8}) {
-    SCOPED_TRACE("fm_batch=" + std::to_string(fm_batch));
+  // the query was dispatched alone (rounds of 1) or inside a batch.
+  for (int rejection_batch : {1, 8}) {
+    SCOPED_TRACE("rejection_batch=" + std::to_string(rejection_batch));
     embedding::SimulatedEmbedder embedder;
     fm::EvaluatorPool evaluators(2024);
     fm::Corpus corpus =
@@ -647,8 +665,7 @@ TEST(PipelineDegradationTest, TerminalFailureAbortsTheRunAtEveryBatchSize) {
     ChameleonOptions options;
     options.tau = 40;
     options.seed = 11;
-    options.rejection_batch = 8;
-    options.fm_batch_size = fm_batch;
+    options.rejection_batch = rejection_batch;
     Chameleon system(&model, &embedder, &evaluators, options);
     auto report = system.RepairMinLevelMups(&corpus);
     ASSERT_FALSE(report.ok());

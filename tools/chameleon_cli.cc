@@ -5,8 +5,7 @@
 //                        [--strategy=linucb|similar|random|noguide]
 //                        [--mask=accurate|moderate|imprecise]
 //                        [--alpha=0.1] [--nu=0.3] [--seed=S] [--out=DIR]
-//                        [--rejection-batch=N] [--batch-size=N]
-//                        [--batch-window=MS] [--backends=N]
+//                        [--rejection-batch=N] [--backends=N]
 //                        [--router=greedy|linucb]
 //                        [--metrics] [--metrics-out=F] [--trace-out=F]
 //                        [--journal-out=F] [--openmetrics-out=F]
@@ -248,13 +247,11 @@ int CmdRepair(const Flags& flags) {
     return 1;
   }
 
-  // Batched transport and the multi-backend pool (DESIGN.md §11). The
-  // transport batch can never exceed the rejection round, so raising
-  // --batch-size usually wants --rejection-batch raised with it.
+  // Batched transport and the multi-backend pool (DESIGN.md §11): each
+  // rejection round is one GenerateBatch dispatch of --rejection-batch
+  // queries.
   options.rejection_batch = static_cast<int>(
       flags.GetInt("rejection-batch", options.rejection_batch));
-  options.fm_batch_size = static_cast<int>(flags.GetInt("batch-size", 0));
-  options.batch_window_ms = flags.GetDouble("batch-window", 5.0);
   const std::string router = flags.Get("router", "greedy");
   if (router == "greedy") {
     options.backend_router = fm::BackendRouterKind::kGreedyCost;
@@ -471,9 +468,8 @@ int Usage() {
                "random|noguide]\n"
                "         [--mask=accurate|moderate|imprecise] [--alpha=A] "
                "[--nu=V] [--out=DIR]\n"
-               "         [--rejection-batch=N] [--batch-size=N] "
-               "[--batch-window=MS]\n"
-               "         [--backends=N] [--router=greedy|linucb]\n"
+               "         [--rejection-batch=N] [--backends=N] "
+               "[--router=greedy|linucb]\n"
                "         [--metrics] [--metrics-out=FILE] [--trace-out=FILE] "
                "[--journal-out=FILE]\n"
                "         [--openmetrics-out=FILE] [--trace-json-out=FILE] "

@@ -44,6 +44,27 @@ util::Status ReadIntField(const obsctl::JsonValue& json, const std::string& key,
   return util::Status::Ok();
 }
 
+/// ReadIntField for int64 fields: a non-finite number or one outside
+/// int64's range is rejected, where a cast would be undefined.
+util::Status ReadInt64Field(const obsctl::JsonValue& json,
+                            const std::string& key, int64_t* out) {
+  const obsctl::JsonValue* value = json.Find(key);
+  if (value == nullptr || !value->is_number()) return util::Status::Ok();
+  if (!obsctl::FitsInt64(value->number_value)) {
+    return util::Status::InvalidArgument(key + " is out of range");
+  }
+  *out = static_cast<int64_t>(value->number_value);
+  return util::Status::Ok();
+}
+
+/// A seed is an int64 on the wire, reinterpreted as the uint64 it seeds.
+util::Status ReadSeedField(const obsctl::JsonValue& json, uint64_t* out) {
+  int64_t seed = static_cast<int64_t>(*out);
+  CHAMELEON_RETURN_NOT_OK(ReadInt64Field(json, "seed", &seed));
+  *out = static_cast<uint64_t>(seed);
+  return util::Status::Ok();
+}
+
 }  // namespace
 
 const char* DatasetKindName(DatasetKind kind) {
@@ -161,10 +182,10 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
                                          "' (expected micro|feret|utkface)");
   }
 
-  spec.tau = json->IntOr("tau", spec.tau);
-  spec.seed = static_cast<uint64_t>(
-      json->IntOr("seed", static_cast<int64_t>(spec.seed)));
-  spec.max_queries = json->IntOr("max_queries", spec.max_queries);
+  CHAMELEON_RETURN_NOT_OK(ReadInt64Field(*json, "tau", &spec.tau));
+  CHAMELEON_RETURN_NOT_OK(ReadSeedField(*json, &spec.seed));
+  CHAMELEON_RETURN_NOT_OK(
+      ReadInt64Field(*json, "max_queries", &spec.max_queries));
   CHAMELEON_RETURN_NOT_OK(
       ReadIntField(*json, "rejection_batch", &spec.rejection_batch));
   CHAMELEON_RETURN_NOT_OK(
@@ -177,8 +198,10 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
   if (spec.max_queries <= 0) {
     return util::Status::InvalidArgument("max_queries must be positive");
   }
-  if (spec.rejection_batch < 1) {
-    return util::Status::InvalidArgument("rejection_batch must be >= 1");
+  if (spec.rejection_batch < 1 || spec.rejection_batch > kMaxRejectionBatch) {
+    return util::Status::InvalidArgument(
+        "rejection_batch must be in [1, " + std::to_string(kMaxRejectionBatch) +
+        "]");
   }
   if (spec.num_threads < 0 || spec.num_threads > kMaxRequestThreads) {
     return util::Status::InvalidArgument(
@@ -195,15 +218,17 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
     }
     spec.has_faults = true;
     fm::FlakyOptions& f = spec.faults;
-    f.seed = static_cast<uint64_t>(
-        faults->IntOr("seed", static_cast<int64_t>(f.seed)));
+    CHAMELEON_RETURN_NOT_OK(ReadSeedField(*faults, &f.seed));
     f.transient_rate = faults->NumberOr("transient_rate", f.transient_rate);
     f.rate_limit_rate = faults->NumberOr("rate_limit_rate", f.rate_limit_rate);
     f.deadline_rate = faults->NumberOr("deadline_rate", f.deadline_rate);
     f.malformed_rate = faults->NumberOr("malformed_rate", f.malformed_rate);
-    f.fail_from_query = faults->IntOr("fail_from_query", f.fail_from_query);
-    f.outage_start = faults->IntOr("outage_start", f.outage_start);
-    f.outage_length = faults->IntOr("outage_length", f.outage_length);
+    CHAMELEON_RETURN_NOT_OK(
+        ReadInt64Field(*faults, "fail_from_query", &f.fail_from_query));
+    CHAMELEON_RETURN_NOT_OK(
+        ReadInt64Field(*faults, "outage_start", &f.outage_start));
+    CHAMELEON_RETURN_NOT_OK(
+        ReadInt64Field(*faults, "outage_length", &f.outage_length));
   }
 
   if (const obsctl::JsonValue* res = json->Find("resilience")) {
@@ -211,8 +236,7 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
       return util::Status::InvalidArgument("resilience must be an object");
     }
     fm::ResilienceOptions& r = spec.resilience;
-    r.seed = static_cast<uint64_t>(
-        res->IntOr("seed", static_cast<int64_t>(r.seed)));
+    CHAMELEON_RETURN_NOT_OK(ReadSeedField(*res, &r.seed));
     CHAMELEON_RETURN_NOT_OK(
         ReadIntField(*res, "max_attempts", &r.max_attempts));
     r.backoff_base_ms = res->NumberOr("backoff_base_ms", r.backoff_base_ms);

@@ -27,6 +27,12 @@ const char* DatasetKindName(DatasetKind kind);
 /// host's hardware concurrency) stays allowed.
 inline constexpr int kMaxRequestThreads = 64;
 
+/// Upper bound on a request's `rejection_batch`. A round reserves and
+/// dispatches up to that many queries at once, so the wire must not be
+/// able to ask for an arbitrary round size. Fixed for the same reason as
+/// kMaxRequestThreads.
+inline constexpr int kMaxRejectionBatch = 4096;
+
 /// One repair request, as carried by a `repair` frame. Every field has a
 /// safe default, so a minimal frame is `{"type":"repair","id":"r1"}`.
 struct RepairRequestSpec {
@@ -36,7 +42,7 @@ struct RepairRequestSpec {
   int64_t tau = 6;
   uint64_t seed = 11;
   int64_t max_queries = 50000;
-  int rejection_batch = 4;
+  int rejection_batch = 4;  ///< in [1, kMaxRejectionBatch]
   int num_threads = 1;  ///< 0 = host concurrency; <= kMaxRequestThreads
   /// Per-request virtual-time budget (fm::Deadline); 0 = unlimited.
   double deadline_ms = 0.0;

@@ -22,7 +22,10 @@ JOBS="${1:-all}"
 PARALLEL="$(nproc 2>/dev/null || echo 2)"
 # ASan + UBSan for the asan, faults and daemon jobs. Without
 # -fno-sanitize-recover a UB report is only printed and the test passes.
-ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer"
+# GCC's -fsanitize=undefined leaves out float-cast-overflow (a double
+# outside the target integer's range, as a wire number can be), so it is
+# named on its own.
+ASAN_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=undefined,float-cast-overflow -fno-omit-frame-pointer"
 
 run_job() {
   local name="$1" build_type="$2" flags="$3"
@@ -41,8 +44,8 @@ run_job() {
     # Focused second pass over the suites that exercise cross-thread
     # machinery hardest: the fault-injection stack, the observability
     # layer's concurrent counters/histograms and instrumented pipeline
-    # runs, the batched transport whose flushes fan out on the round's
-    # pool, and the pool's ambient-scope contract (labelled `resilience`,
+    # runs, the batched transport whose round dispatches fan out on the
+    # round's pool, and the pool's ambient-scope contract (labelled `resilience`,
     # `obs`, `fm` and `threads` in tests/CMakeLists.txt).
     echo "==== [${name}] ctest -L 'resilience|obs|fm|threads' (focused rerun) ===="
     ctest --test-dir "${dir}" --output-on-failure -L 'resilience|obs|fm|threads'
@@ -51,8 +54,8 @@ run_job() {
 
 # Fault-injection gate: the resilience suite (flaky/resilient decorators,
 # graceful pipeline degradation, corpus-corruption handling) and the
-# batching suite (the pipeline parks failed results through the
-# coalescer at every batch size) under ASan/UBSan, where a mis-handled
+# batching suite (the pipeline parks failed results out of each round's
+# one dispatch, at every round size) under ASan/UBSan, where a mis-handled
 # fault path shows up as a real error rather than flaky behaviour. The
 # TSan job above covers the atomic query counter via the same suite at
 # full breadth.

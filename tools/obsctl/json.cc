@@ -212,6 +212,12 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
+bool FitsInt64(double number) {
+  // -2^63 and 2^63 are exact doubles; INT64_MAX is not, so the upper
+  // bound is exclusive. NaN fails both comparisons.
+  return number >= -9223372036854775808.0 && number < 9223372036854775808.0;
+}
+
 double JsonValue::NumberOr(const std::string& key, double fallback) const {
   const JsonValue* value = Find(key);
   return value != nullptr && value->is_number() ? value->number_value
@@ -220,7 +226,8 @@ double JsonValue::NumberOr(const std::string& key, double fallback) const {
 
 int64_t JsonValue::IntOr(const std::string& key, int64_t fallback) const {
   const JsonValue* value = Find(key);
-  return value != nullptr && value->is_number()
+  return value != nullptr && value->is_number() &&
+                 FitsInt64(value->number_value)
              ? static_cast<int64_t>(value->number_value)
              : fallback;
 }

@@ -34,12 +34,17 @@ struct JsonValue {
   const JsonValue* Find(const std::string& key) const;
 
   /// Convenience getters with fallbacks for absent/mistyped fields.
+  /// IntOr also falls back for a number FitsInt64 rejects.
   double NumberOr(const std::string& key, double fallback) const;
   int64_t IntOr(const std::string& key, int64_t fallback) const;
   std::string StringOr(const std::string& key,
                        const std::string& fallback) const;
   bool BoolOr(const std::string& key, bool fallback) const;
 };
+
+/// True when `number` is finite and inside int64's range, so a cast to
+/// int64_t is defined (it truncates toward zero).
+bool FitsInt64(double number);
 
 /// Parses one complete JSON document. Trailing whitespace is allowed;
 /// any other trailing content is an error, so a truncated JSONL line
