@@ -9,8 +9,8 @@
 // its cost is sampled at evenly spaced checkpoints along the same stream
 // and averaged (running it at every one of the 10^4 refresh points would
 // dominate the bench without changing the estimate). The incremental
-// side is charged its full cost — posting-list growth AND frontier patch
-// — while the recompute side is charged only the FindMups traversal,
+// side is charged its full cost — counter growth AND frontier patch —
+// while the recompute side is charged only the FindMups traversal,
 // which biases the comparison against the incremental index.
 //
 // The binary self-checks the acceptance criterion: at the run's largest
@@ -124,7 +124,7 @@ ScaleResult RunScale(const chameleon::data::AttributeSchema& schema,
     incremental_s += patch_s;
     out.patch_digest.Add(patch_s * 1e9);
 
-    // The recompute strategy pays this same posting growth before its
+    // The recompute strategy pays this same counter growth before its
     // FindMups; it is deliberately left untimed (see header comment).
     for (const std::vector<int>& values : batch) {
       if (!reference.AddTuple(values).ok()) {

@@ -50,23 +50,6 @@ void BM_FindMupsLattice(benchmark::State& state) {
 }
 BENCHMARK(BM_FindMupsLattice)->DenseRange(3, 9, 2);
 
-// Level-synchronous parallel BFS. Sweeps thread count at a fixed (hard)
-// lattice size; Arg is num_threads. The thread pool is constructed per
-// FindMups call, so measured time includes pool startup.
-void BM_FindMupsLatticeParallel(benchmark::State& state) {
-  const int d = 9;
-  const data::Dataset dataset = MakeBinaryDataset(d, 20000, 42);
-  const auto counter = *coverage::PatternCounter::FromDataset(dataset);
-  coverage::MupFinder finder(dataset.schema(), counter);
-  coverage::MupFinderOptions options;
-  options.tau = 500;
-  options.num_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(finder.FindMups(options));
-  }
-}
-BENCHMARK(BM_FindMupsLatticeParallel)->Arg(1)->Arg(2)->Arg(4);
-
 void BM_FindMupsNaive(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   const data::Dataset dataset = MakeBinaryDataset(d, 20000, 42);

@@ -578,7 +578,6 @@ util::Result<RepairReport> Chameleon::RepairMinLevelMups(fm::Corpus* corpus) {
   coverage::MupFinder finder(schema, *counter);
   coverage::MupFinderOptions mup_options;
   mup_options.tau = options_.tau;
-  mup_options.num_threads = options_.num_threads;
   mup_options.observability = options_.observability;
   const std::vector<coverage::Mup> all_mups = finder.FindMups(mup_options);
   report.initial_mups = coverage::MupFinder::MinLevel(all_mups);

@@ -1,9 +1,6 @@
 #include "src/coverage/incremental_mup.h"
 
 #include <algorithm>
-#include <deque>
-#include <string>
-#include <unordered_set>
 #include <utility>
 
 namespace chameleon::coverage {
@@ -32,11 +29,11 @@ IncrementalMupIndex::IncrementalMupIndex(const data::AttributeSchema& schema,
 util::Result<IncrementalMupIndex> IncrementalMupIndex::FromDataset(
     const data::Dataset& dataset, const IncrementalMupOptions& options) {
   IncrementalMupIndex index(dataset.schema(), options);
-  for (const data::Tuple& tuple : dataset.tuples()) {
-    CHAMELEON_RETURN_NOT_OK(index.counter_.AddTuple(tuple.values));
-  }
+  auto counter = PatternCounter::FromTuples(*index.schema_, dataset.tuples());
+  if (!counter.ok()) return counter.status();
+  index.counter_ = std::move(*counter);
   // One full traversal over the loaded counter beats patching the empty
-  // index tuple by tuple, and gets the parallel FindMups for free.
+  // index tuple by tuple.
   index.RebuildFrontier();
   return index;
 }
@@ -46,30 +43,11 @@ void IncrementalMupIndex::RebuildFrontier() {
   MupFinderOptions find_options;
   find_options.tau = options_.tau;
   find_options.max_level = options_.max_level;
-  find_options.num_threads = options_.num_threads;
   const std::vector<Mup> mups = finder.FindMups(find_options);
   live_.clear();
   for (const Mup& mup : mups) {
     live_.emplace(mup.pattern, mup.count);
   }
-}
-
-util::Status IncrementalMupIndex::ValidateTuple(
-    const std::vector<int>& values) const {
-  if (static_cast<int>(values.size()) != schema_->num_attributes()) {
-    return util::Status::InvalidArgument(
-        "tuple arity " + std::to_string(values.size()) +
-        " does not match schema arity " +
-        std::to_string(schema_->num_attributes()));
-  }
-  for (int i = 0; i < schema_->num_attributes(); ++i) {
-    if (values[i] < 0 || values[i] >= schema_->attribute(i).cardinality()) {
-      return util::Status::InvalidArgument(
-          "value " + std::to_string(values[i]) + " out of domain for '" +
-          schema_->attribute(i).name + "'");
-    }
-  }
-  return util::Status::Ok();
 }
 
 util::Status IncrementalMupIndex::Insert(const std::vector<int>& values) {
@@ -81,103 +59,52 @@ util::Status IncrementalMupIndex::InsertBatch(
     const std::vector<std::vector<int>>& batch) {
   if (batch.empty()) return util::Status::Ok();
   // Validate everything up front: a failed batch must change nothing, and
-  // PatternCounter only validates per tuple.
+  // AddTuple only validates its own tuple.
   for (const std::vector<int>& values : batch) {
-    CHAMELEON_RETURN_NOT_OK(ValidateTuple(values));
+    CHAMELEON_RETURN_NOT_OK(counter_.Validate(values));
   }
 
   for (const std::vector<int>& values : batch) {
-    // Cannot fail: ValidateTuple mirrors AddTuple's checks.
+    // Cannot fail: the batch passed AddTuple's own checks above.
     CHAMELEON_RETURN_NOT_OK(counter_.AddTuple(values));
   }
-  PatchFrontier(batch);
+  PatchFrontier();
   return util::Status::Ok();
 }
 
-void IncrementalMupIndex::PatchFrontier(
-    const std::vector<std::vector<int>>& batch) {
-  const int d = schema_->num_attributes();
-  const int max_level = options_.max_level < 0 ? d : options_.max_level;
-
-  // 1. Patch: bump each live MUP by its number of matches. Counts stay
-  // exact (the stored count was |D ∩ P| and the batch is now part of D),
-  // so Mups() never has to re-query the counter.
+void IncrementalMupIndex::PatchFrontier() {
+  // 1. Patch: refresh each live MUP's count from the counter, which
+  // already holds the batch, so the stored counts stay exact and Mups()
+  // never has to re-query.
   std::vector<data::Pattern> crossed;
   for (auto& entry : live_) {
-    int64_t delta = 0;
-    for (const std::vector<int>& values : batch) {
-      if (entry.first.Matches(values)) ++delta;
-    }
-    if (delta == 0) continue;
-    entry.second += delta;
+    const int64_t count = counter_.Count(entry.first);
+    if (count == entry.second) continue;
+    entry.second = count;
     ++patched_total_;
-    if (entry.second >= options_.tau) crossed.push_back(entry.first);
+    if (count >= options_.tau) crossed.push_back(entry.first);
   }
   if (crossed.empty()) return;
 
-  // 2. Retire every MUP that crossed tau. Sorting first keeps the
-  // expansion order (and therefore any future journaling) independent of
-  // hash-map iteration order.
-  std::sort(crossed.begin(), crossed.end(),
-            [](const data::Pattern& a, const data::Pattern& b) {
-              if (a.Level() != b.Level()) return a.Level() < b.Level();
-              return a < b;
-            });
-  std::unordered_map<data::Pattern, int64_t, data::PatternHash> counts;
-  for (const data::Pattern& pattern : crossed) {
-    counts.emplace(pattern, live_.at(pattern));
-    live_.erase(pattern);
-  }
+  // 2. Retire every MUP that crossed tau.
+  for (const data::Pattern& pattern : crossed) live_.erase(pattern);
   retired_total_ += static_cast<int64_t>(crossed.size());
-
-  auto count_of = [&](const data::Pattern& pattern) {
-    auto it = counts.find(pattern);
-    if (it != counts.end()) return it->second;
-    const int64_t count = counter_.Count(pattern);
-    counts.emplace(pattern, count);
-    return count;
-  };
 
   // 3. Expand only below the retired MUPs. Everything down there was
   // uncovered before this batch (count monotonicity), i.e. it is exactly
-  // the region the original BFS pruned; re-running FindMups' loop on it
+  // the region the original BFS pruned; re-running FindMups' search on it
   // with fresh counts surfaces every newly-exposed MUP. Patterns whose
   // uncovered→covered flip happened under a *different* ancestor are
-  // still reached: any flipped chain tops out at a retired MUP.
-  std::unordered_set<data::Pattern, data::PatternHash> visited(
-      crossed.begin(), crossed.end());
-  std::deque<data::Pattern> frontier(crossed.begin(), crossed.end());
-  while (!frontier.empty()) {
-    const data::Pattern pattern = frontier.front();
-    frontier.pop_front();
-
-    const int64_t count = count_of(pattern);
-    if (count >= options_.tau) {
-      // Covered: descend, exactly like FindMups (including the max_level
-      // cutoff, so a bounded index matches a bounded finder).
-      if (pattern.Level() >= max_level) continue;
-      for (auto& child : pattern.Children(*schema_)) {
-        if (visited.insert(child).second) {
-          frontier.push_back(std::move(child));
-        }
-      }
-      continue;
-    }
-
-    // Uncovered: a MUP iff every parent is covered. Parents outside the
-    // expansion region kept their old coverage status, so querying the
-    // counter directly is exact.
-    bool all_parents_covered = true;
-    for (const auto& parent : pattern.Parents()) {
-      if (count_of(parent) < options_.tau) {
-        all_parents_covered = false;
-        break;
-      }
-    }
-    if (all_parents_covered) {
-      live_.emplace(pattern, count);
-      ++discovered_total_;
-    }
+  // still reached: any flipped chain tops out at a retired MUP. Parents
+  // outside the region kept their old coverage status, so the search's
+  // parent checks against the counter stay exact.
+  MupFinderOptions find_options;
+  find_options.tau = options_.tau;
+  find_options.max_level = options_.max_level;
+  for (const Mup& mup :
+       MupFinder(*schema_, counter_).FindMupsBelow(crossed, find_options)) {
+    live_.emplace(mup.pattern, mup.count);
+    ++discovered_total_;
   }
 }
 

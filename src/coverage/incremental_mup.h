@@ -22,10 +22,9 @@ struct IncrementalMupOptions {
   /// Only maintain MUPs at level <= max_level (d by default, i.e. all) —
   /// the same semantics as MupFinderOptions::max_level.
   int max_level = -1;
-  /// Worker count for the *initial* full lattice traversal (delegated to
-  /// MupFinder::FindMups, which is bit-identical at every setting).
-  /// Incremental patches touch a handful of lattice nodes and always run
-  /// serially, so the maintained MUP set is bit-identical at every value.
+  /// Has no effect, like MupFinderOptions::num_threads: the initial
+  /// traversal and every patch run serially. Kept only for source
+  /// compatibility with callers that still set it.
   int num_threads = 0;
 };
 
@@ -33,7 +32,8 @@ struct IncrementalMupOptions {
 /// and batched inserts (DESIGN.md §14). Instead of re-running the full
 /// top-down lattice BFS after every arrival, an insert
 ///
-///   1. patches the stored counts of the live MUPs the tuple matches,
+///   1. re-reads the counts of the live MUPs from its PatternCounter
+///      (one cube read each for every in-repo schema),
 ///   2. retires every MUP whose count crossed tau (it became covered, so
 ///      it is no longer maximal-uncovered), and
 ///   3. expands only the sublattice below the retired MUPs — the one
@@ -105,11 +105,9 @@ class IncrementalMupIndex {
   /// frontier (construction and FromDataset only — never on insert).
   void RebuildFrontier();
 
-  /// The patch algorithm described above; `batch` is already validated
-  /// and indexed into counter_.
-  void PatchFrontier(const std::vector<std::vector<int>>& batch);
-
-  [[nodiscard]] util::Status ValidateTuple(const std::vector<int>& values) const;
+  /// The patch algorithm described above, run once the inserted tuples
+  /// are indexed into counter_.
+  void PatchFrontier();
 
   /// Shared so the default copy keeps counter_'s schema pointer alive and
   /// correct: copies alias one immutable schema instead of dangling into

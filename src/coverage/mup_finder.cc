@@ -8,15 +8,9 @@
 #include <utility>
 
 #include "src/obs/observability.h"
-#include "src/util/thread_pool.h"
 
 namespace chameleon::coverage {
 namespace {
-
-/// Patterns per ParallelFor chunk when counting a frontier level. Small
-/// enough to balance skewed posting-list sizes, large enough to amortize
-/// dispatch.
-constexpr int64_t kCountGrain = 8;
 
 void SortMups(std::vector<Mup>* mups) {
   std::sort(mups->begin(), mups->end(), [](const Mup& a, const Mup& b) {
@@ -36,17 +30,14 @@ std::vector<Mup> MupFinder::FindMups(const MupFinderOptions& options) const {
   std::optional<obs::Span> span;
   if (obs != nullptr) span.emplace(obs->tracer.StartSpan("mup.find"));
 
-  const int num_threads = util::ThreadPool::ResolveThreadCount(
-      options.num_threads);
-  std::vector<Mup> mups = num_threads <= 1
-                              ? FindMupsSerial(options)
-                              : FindMupsParallel(options, num_threads);
+  std::vector<Mup> mups =
+      FindMupsBelow({data::Pattern(schema_->num_attributes())}, options);
 
   if (obs != nullptr) {
     obs->registry.Counter("mup.found")->Increment(
         static_cast<int64_t>(mups.size()));
-    // Unstable across worker counts by design (see MupFinderOptions);
-    // obs::IsStableMetric exempts it from the determinism contract.
+    // Exempt from the determinism contract by obs::IsStableMetric: it
+    // measures the traversal, not its result.
     obs->registry.Counter("mup.count_queries")->Increment(
         last_count_queries());
     for (const Mup& mup : mups) {
@@ -59,28 +50,24 @@ std::vector<Mup> MupFinder::FindMups(const MupFinderOptions& options) const {
   return mups;
 }
 
-std::vector<Mup> MupFinder::FindMupsSerial(
+std::vector<Mup> MupFinder::FindMupsBelow(
+    const std::vector<data::Pattern>& seeds,
     const MupFinderOptions& options) const {
   const int d = schema_->num_attributes();
   const int max_level = options.max_level < 0 ? d : options.max_level;
-  last_count_queries_.store(0, std::memory_order_relaxed);
 
-  std::unordered_map<data::Pattern, int64_t, data::PatternHash> count_cache;
+  // No memo: a count is one cube read for every in-repo schema, cheaper
+  // than hashing the pattern to look it up.
+  int64_t queries = 0;
   auto count_of = [&](const data::Pattern& p) {
-    auto it = count_cache.find(p);
-    if (it != count_cache.end()) return it->second;
-    last_count_queries_.fetch_add(1, std::memory_order_relaxed);
-    const int64_t c = counter_->Count(p);
-    count_cache.emplace(p, c);
-    return c;
+    ++queries;
+    return counter_->Count(p);
   };
 
   std::vector<Mup> mups;
-  std::unordered_set<data::Pattern, data::PatternHash> visited;
-  std::deque<data::Pattern> frontier;
-  const data::Pattern root(d);
-  frontier.push_back(root);
-  visited.insert(root);
+  std::unordered_set<data::Pattern, data::PatternHash> visited(seeds.begin(),
+                                                               seeds.end());
+  std::deque<data::Pattern> frontier(seeds.begin(), seeds.end());
 
   while (!frontier.empty()) {
     const data::Pattern pattern = frontier.front();
@@ -113,89 +100,7 @@ std::vector<Mup> MupFinder::FindMupsSerial(
     }
   }
 
-  SortMups(&mups);
-  return mups;
-}
-
-std::vector<Mup> MupFinder::FindMupsParallel(const MupFinderOptions& options,
-                                             int num_threads) const {
-  const int d = schema_->num_attributes();
-  const int max_level = options.max_level < 0 ? d : options.max_level;
-  last_count_queries_.store(0, std::memory_order_relaxed);
-
-  util::ThreadPool pool(num_threads);
-  std::unordered_map<data::Pattern, int64_t, data::PatternHash> counts;
-
-  // Counts a batch of distinct uncached patterns: the Count() calls fan
-  // out over the pool into per-index slots, then merge into the cache in
-  // batch order (deterministic for every worker count).
-  auto count_batch = [&](const std::vector<data::Pattern>& batch) {
-    if (batch.empty()) return;
-    std::vector<int64_t> results(batch.size(), 0);
-    pool.ParallelFor(static_cast<int64_t>(batch.size()), kCountGrain,
-                     [&](int64_t begin, int64_t end, int64_t /*chunk*/) {
-                       for (int64_t i = begin; i < end; ++i) {
-                         results[i] = counter_->Count(batch[i]);
-                       }
-                     });
-    last_count_queries_.fetch_add(static_cast<int64_t>(batch.size()),
-                                  std::memory_order_relaxed);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      counts.emplace(batch[i], results[i]);
-    }
-  };
-
-  std::vector<Mup> mups;
-  std::unordered_set<data::Pattern, data::PatternHash> visited;
-  std::vector<data::Pattern> frontier;
-  frontier.emplace_back(d);
-  visited.insert(frontier[0]);
-  count_batch(frontier);
-
-  // Level-synchronous BFS over the same node set the serial traversal
-  // visits: each level's counts (and the parent counts its uncovered
-  // members need for the MUP predicate) are computed in parallel.
-  while (!frontier.empty()) {
-    std::vector<data::Pattern> missing_parents;
-    std::unordered_set<data::Pattern, data::PatternHash> requested;
-    for (const auto& pattern : frontier) {
-      if (counts.at(pattern) >= options.tau) continue;
-      for (auto& parent : pattern.Parents()) {
-        if (counts.find(parent) == counts.end() &&
-            requested.insert(parent).second) {
-          missing_parents.push_back(std::move(parent));
-        }
-      }
-    }
-    count_batch(missing_parents);
-
-    std::vector<data::Pattern> next;
-    for (const auto& pattern : frontier) {
-      const int64_t count = counts.at(pattern);
-      if (count >= options.tau) {
-        if (pattern.Level() >= max_level) continue;
-        for (auto& child : pattern.Children(*schema_)) {
-          if (visited.insert(child).second) {
-            next.push_back(std::move(child));
-          }
-        }
-        continue;
-      }
-      bool all_parents_covered = true;
-      for (const auto& parent : pattern.Parents()) {
-        if (counts.at(parent) < options.tau) {
-          all_parents_covered = false;
-          break;
-        }
-      }
-      if (all_parents_covered) {
-        mups.push_back(Mup{pattern, count, options.tau - count});
-      }
-    }
-    count_batch(next);
-    frontier = std::move(next);
-  }
-
+  last_count_queries_.store(queries, std::memory_order_relaxed);
   SortMups(&mups);
   return mups;
 }

@@ -21,12 +21,9 @@ struct MupFinderOptions {
   int64_t tau = 50;
   /// Only report MUPs at level <= max_level (d by default, i.e. all).
   int max_level = -1;
-  /// Worker count for frontier counting: 0 = hardware concurrency
-  /// (the default), 1 = the exact legacy serial traversal. The reported
-  /// MUPs (patterns, counts, gaps, order) are identical at every setting;
-  /// only last_count_queries() may differ between the serial and parallel
-  /// traversals (the parallel one prefetches parent counts instead of
-  /// short-circuiting).
+  /// Has no effect: the traversal is serial, because with counts read
+  /// from PatternCounter's cube a worker pool costs more than it saves.
+  /// Kept only for source compatibility with callers that still set it.
   int num_threads = 0;
   /// Optional observability sink (not owned; null = no instrumentation).
   /// FindMups records a `mup.find` span, the `mup.found` /
@@ -48,10 +45,8 @@ struct Mup {
 /// Discovers all Maximal Uncovered Patterns (§2.3): patterns P with
 /// |D ∩ P| < tau whose parents are all covered. Two algorithms:
 ///
-///  * FindMups       — top-down lattice BFS expanding only covered nodes,
-///                     with memoized counts (the practical algorithm).
-///                     With num_threads > 1 each BFS level's candidate
-///                     patterns are counted in parallel.
+///  * FindMups       — top-down lattice BFS expanding only covered nodes
+///                     (the practical algorithm).
 ///  * FindMupsNaive  — full lattice materialization with the same MUP
 ///                     predicate, used as a correctness oracle in tests
 ///                     and as the ablation baseline in benchmarks.
@@ -60,22 +55,27 @@ class MupFinder {
   MupFinder(const data::AttributeSchema& schema, const PatternCounter& counter);
 
   std::vector<Mup> FindMups(const MupFinderOptions& options) const;
+
+  /// The BFS of FindMups started from `seeds` (distinct patterns) instead
+  /// of the root, without FindMups' instrumentation: the MUPs reachable
+  /// from the seeds through covered patterns, in FindMups' order.
+  /// IncrementalMupIndex runs it below the MUPs an insert retired.
+  std::vector<Mup> FindMupsBelow(const std::vector<data::Pattern>& seeds,
+                                 const MupFinderOptions& options) const;
+
   std::vector<Mup> FindMupsNaive(const MupFinderOptions& options) const;
 
   /// Restricts a MUP list to its minimum level: the set M* of §4.
   static std::vector<Mup> MinLevel(const std::vector<Mup>& mups);
 
   /// Number of Count() calls issued by the last FindMups invocation
-  /// (diagnostic; atomic so the parallel traversal can tally safely).
+  /// (diagnostic; atomic so concurrent FindMups calls on one finder do
+  /// not race).
   int64_t last_count_queries() const {
     return last_count_queries_.load(std::memory_order_relaxed);
   }
 
  private:
-  std::vector<Mup> FindMupsSerial(const MupFinderOptions& options) const;
-  std::vector<Mup> FindMupsParallel(const MupFinderOptions& options,
-                                    int num_threads) const;
-
   const data::AttributeSchema* schema_;
   const PatternCounter* counter_;
   mutable std::atomic<int64_t> last_count_queries_{0};

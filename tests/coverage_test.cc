@@ -1,4 +1,5 @@
 #include "gtest/gtest.h"
+#include "src/coverage/incremental_mup.h"
 #include "src/coverage/mup_finder.h"
 #include "src/coverage/pattern_counter.h"
 #include "src/data/dataset.h"
@@ -81,6 +82,152 @@ TEST(PatternCounterTest, IncrementalAddKeepsCountsInSync) {
   EXPECT_EQ(counter.Count(data::Pattern({0, data::Pattern::kUnspecified})),
             2);
   EXPECT_EQ(counter.Count(data::Pattern(2)), 3);
+}
+
+data::AttributeSchema SchemaOf(const std::vector<int>& cardinalities) {
+  data::AttributeSchema schema;
+  for (size_t i = 0; i < cardinalities.size(); ++i) {
+    std::string name = "a";
+    name += std::to_string(i);
+    std::vector<std::string> values;
+    for (int v = 0; v < cardinalities[i]; ++v) {
+      values.push_back(std::to_string(v));
+    }
+    EXPECT_TRUE(schema.AddAttribute({std::move(name), std::move(values), false})
+                    .ok());
+  }
+  return schema;
+}
+
+/// Value 0 dominates, so deep patterns stay rare but not all empty.
+std::vector<int> SkewedTuple(const data::AttributeSchema& schema,
+                             util::Rng* rng) {
+  std::vector<int> values(schema.num_attributes());
+  for (int i = 0; i < schema.num_attributes(); ++i) {
+    values[i] = rng->NextBernoulli(0.6)
+                    ? 0
+                    : static_cast<int>(rng->NextBounded(
+                          schema.attribute(i).cardinality()));
+  }
+  return values;
+}
+
+/// Checks `counter` against Dataset::CountMatching on random patterns,
+/// half of them generalisations of a stored tuple so counts are not all 0.
+void ExpectCountsMatchLinearScan(const PatternCounter& counter,
+                                 const data::Dataset& dataset, uint64_t seed) {
+  const data::AttributeSchema& schema = dataset.schema();
+  const int d = schema.num_attributes();
+  util::Rng rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    data::Pattern pattern(d);
+    const std::vector<int>* source =
+        trial % 2 == 0 && dataset.size() > 0
+            ? &dataset.tuple(rng.NextBounded(dataset.size())).values
+            : nullptr;
+    for (int a = 0; a < d; ++a) {
+      if (!rng.NextBernoulli(0.3)) continue;
+      pattern = pattern.WithCell(
+          a, source != nullptr ? (*source)[a]
+                               : static_cast<int>(rng.NextBounded(
+                                     schema.attribute(a).cardinality())));
+    }
+    ASSERT_EQ(counter.Count(pattern), dataset.CountMatching(pattern))
+        << pattern.ToString();
+  }
+  EXPECT_EQ(counter.Count(data::Pattern(d)),
+            static_cast<int64_t>(dataset.size()));
+}
+
+struct CubeCase {
+  const char* name;
+  int d;
+  int cardinality;
+  bool dense;
+};
+
+class PatternCounterCubeTest : public ::testing::TestWithParam<CubeCase> {};
+
+TEST_P(PatternCounterCubeTest, CountsMatchLinearScanBeforeAndAfterAddTuple) {
+  const CubeCase& c = GetParam();
+  const auto schema = SchemaOf(std::vector<int>(c.d, c.cardinality));
+  data::Dataset dataset(schema);
+  util::Rng rng(17);
+  for (int t = 0; t < 400; ++t) {
+    data::Tuple tuple;
+    tuple.values = SkewedTuple(schema, &rng);
+    ASSERT_TRUE(dataset.Add(std::move(tuple)).ok());
+  }
+  auto counter = *PatternCounter::FromDataset(dataset);
+  EXPECT_EQ(counter.dense(), c.dense);
+  EXPECT_EQ(counter.num_tuples(), 400);
+  ExpectCountsMatchLinearScan(counter, dataset, 1);
+
+  // Growth after the bulk build keeps every count exact.
+  for (int t = 0; t < 100; ++t) {
+    data::Tuple tuple;
+    tuple.values = SkewedTuple(schema, &rng);
+    ASSERT_TRUE(counter.AddTuple(tuple.values).ok());
+    ASSERT_TRUE(dataset.Add(std::move(tuple)).ok());
+  }
+  ExpectCountsMatchLinearScan(counter, dataset, 2);
+
+  // An out-of-domain tuple is refused and changes no count.
+  std::vector<int> bad(c.d, 0);
+  bad[c.d - 1] = c.cardinality;
+  EXPECT_EQ(counter.AddTuple(bad).code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(counter.num_tuples(), 500);
+  ExpectCountsMatchLinearScan(counter, dataset, 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemas, PatternCounterCubeTest,
+    ::testing::Values(
+        // 6^5 = 7776 cells: the cube.
+        CubeCase{"BelowCap", 5, 5, true},
+        // 8^7 = 2097152 > kMaxCubeCells: posting lists.
+        CubeCase{"JustAboveCap", 7, 7, false},
+        // 1001^30 overflows int64: must not wrap into a small cube.
+        CubeCase{"ProductOverflowsInt64", 30, 1000, false}),
+    [](const ::testing::TestParamInfo<CubeCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(PatternCounterTest, CapIsInclusive) {
+  // 4^10 = 2^20 cells exactly is still a cube; 4^9 * 5 is not.
+  EXPECT_TRUE(PatternCounter(SchemaOf(std::vector<int>(10, 3))).dense());
+  std::vector<int> over(10, 3);
+  over[9] = 4;
+  EXPECT_FALSE(PatternCounter(SchemaOf(over)).dense());
+}
+
+TEST(PatternCounterTest, IncrementalIndexMatchesFindMupsAboveTheCap) {
+  // The streaming index over posting lists: a short differential stream
+  // against a fresh FindMups at checkpoints.
+  const auto schema = SchemaOf(std::vector<int>(7, 7));
+  IncrementalMupOptions index_options;
+  index_options.tau = 3;
+  IncrementalMupIndex index(schema, index_options);
+  PatternCounter reference(schema);
+  ASSERT_FALSE(reference.dense());
+  MupFinderOptions find_options;
+  find_options.tau = 3;
+  util::Rng rng(29);
+  for (int step = 1; step <= 240; ++step) {
+    const std::vector<int> values = SkewedTuple(schema, &rng);
+    ASSERT_TRUE(index.Insert(values).ok());
+    ASSERT_TRUE(reference.AddTuple(values).ok());
+    if (step % 40 != 0) continue;
+    const auto expected = MupFinder(schema, reference).FindMups(find_options);
+    const auto actual = index.Mups();
+    ASSERT_EQ(actual.size(), expected.size()) << "step " << step;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(actual[i].pattern, expected[i].pattern) << "step " << step;
+      ASSERT_EQ(actual[i].count, expected[i].count) << "step " << step;
+    }
+  }
+  EXPECT_GT(index.retired(), 0);
+  EXPECT_GT(index.discovered(), 0);
 }
 
 TEST(MupFinderTest, EmptyWhenFullyCovered) {
@@ -231,52 +378,6 @@ TEST(PatternCounterTest, AddTupleRejectsOutOfDomainValues) {
   EXPECT_TRUE(counter.AddTuple({0, 1}).ok());
   EXPECT_EQ(counter.num_tuples(), 1);
   EXPECT_EQ(counter.Count(data::Pattern({0, 1})), 1);
-}
-
-// The parallel frontier traversal must report exactly the serial MUPs —
-// same patterns, counts, gaps, and order — across random datasets.
-class MupParallelAgreementTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(MupParallelAgreementTest, ParallelMatchesSerial) {
-  const uint64_t seed = GetParam();
-  const int d = 3 + static_cast<int>(seed % 3);
-  const auto schema = BinarySchema(d);
-  const auto dataset = RandomDataset(schema, 800, seed);
-  const auto counter = *PatternCounter::FromDataset(dataset);
-  MupFinder finder(schema, counter);
-  MupFinderOptions options;
-  options.tau = 20 + static_cast<int64_t>(seed % 5) * 40;
-
-  options.num_threads = 1;
-  const auto serial = finder.FindMups(options);
-  for (int threads : {2, 4}) {
-    options.num_threads = threads;
-    const auto parallel = finder.FindMups(options);
-    EXPECT_GT(finder.last_count_queries(), 0);
-    ASSERT_EQ(serial.size(), parallel.size()) << "threads=" << threads;
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].pattern, parallel[i].pattern);
-      EXPECT_EQ(serial[i].count, parallel[i].count);
-      EXPECT_EQ(serial[i].gap, parallel[i].gap);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MupParallelAgreementTest,
-                         ::testing::Range(1, 9));
-
-TEST(MupFinderTest, ParallelRespectsMaxLevel) {
-  const auto schema = BinarySchema(5);
-  const auto dataset = RandomDataset(schema, 2000, 21);
-  const auto counter = *PatternCounter::FromDataset(dataset);
-  MupFinder finder(schema, counter);
-  MupFinderOptions options;
-  options.tau = 60;
-  options.max_level = 2;
-  options.num_threads = 4;
-  for (const auto& m : finder.FindMups(options)) {
-    EXPECT_LE(m.Level(), 2);
-  }
 }
 
 TEST(MupFinderTest, LatticeIssuesFewerCountsThanFullMaterialization) {

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "src/obs/observability.h"
 #include "src/obs/trace.h"
 #include "src/util/status.h"
+#include "src/util/stopwatch.h"
 #include "tools/chameleond/build_once.h"
 #include "tools/chameleond/daemon.h"
 #include "tools/obsctl/analysis.h"
@@ -380,6 +382,35 @@ TEST(DaemonTest, DuplicateRequestIdRejected) {
   EXPECT_EQ(server.daemon().stats().completed, 1);
 }
 
+TEST(DaemonTest, RefusedRepairFrameEchoesItsReadableId) {
+  RunningDaemon server;
+  server.Start();
+  // Parses as an object with a string id but fails field validation: the
+  // error must name the request, or a client with several in flight
+  // cannot tell which one was refused.
+  SendPayload(server.client(),
+              "{\"type\":\"repair\",\"id\":\"big\","
+              "\"rejection_batch\":2000000000}");
+  obsctl::JsonValue refused = AwaitFrame(server.client(), "error");
+  EXPECT_EQ(refused.StringOr("id", ""), "big");
+  EXPECT_EQ(refused.StringOr("code", ""), "InvalidArgument");
+
+  // No readable id, no id on the error.
+  SendPayload(server.client(), "{\"type\":\"repair\",\"id\":7}");
+  obsctl::JsonValue anonymous = AwaitFrame(server.client(), "error");
+  EXPECT_EQ(anonymous.Find("id"), nullptr);
+  server.Finish();
+  EXPECT_EQ(server.daemon().stats().protocol_errors, 2);
+}
+
+TEST(ProtocolTest, FrameIdOfReadsOnlyAStringIdOfAnObject) {
+  EXPECT_EQ(FrameIdOf("{\"type\":\"repair\",\"id\":\"r9\"}"), "r9");
+  EXPECT_EQ(FrameIdOf("{\"type\":\"repair\",\"id\":9}"), "");
+  EXPECT_EQ(FrameIdOf("[\"id\"]"), "");
+  EXPECT_EQ(FrameIdOf("{\"id\":\"r9\""), "");  // unterminated
+  EXPECT_EQ(FrameIdOf("\xff{\"id\":\"r9\"}"), "");
+}
+
 TEST(ProtocolTest, OutOfRangeIntegerFieldsRejectedNotNarrowed) {
   // 4294967297 is 2^32 + 1: narrowed to int it would read as 1.
   const std::string too_big = "4294967297";
@@ -615,6 +646,96 @@ TEST(DaemonTest, ShutdownFrameDrainsInFlightRequests) {
   server.Finish();
   EXPECT_TRUE(server.serve_status().ok()) << server.serve_status().ToString();
   EXPECT_EQ(server.daemon().stats().active, 0);
+}
+
+/// Throws from the first write of one request's report frame: a repair
+/// that throws, without a test-only option in the daemon.
+class ThrowOnReportTransport : public Transport {
+ public:
+  ThrowOnReportTransport(Transport* wrapped, std::string id)
+      : wrapped_(wrapped), marker_("\"id\":\"" + id + "\"") {}
+
+  [[nodiscard]] util::Result<size_t> Read(char* out, size_t max) override {
+    return wrapped_->Read(out, max);
+  }
+
+  [[nodiscard]] util::Status Write(const char* data, size_t size) override {
+    const std::string frame(data, size);
+    if (frame.find("\"type\":\"report\"") != std::string::npos &&
+        frame.find(marker_) != std::string::npos && !thrown_.exchange(true)) {
+      throw std::runtime_error("injected report write failure");
+    }
+    return wrapped_->Write(data, size);
+  }
+
+  void WakeReader() override { wrapped_->WakeReader(); }
+  void Close() override { wrapped_->Close(); }
+
+ private:
+  Transport* wrapped_;
+  std::string marker_;
+  std::atomic<bool> thrown_{false};
+};
+
+TEST(DaemonTest, ThrowingRepairAnswersInternalAndFreesItsSlot) {
+  const std::string journal_path = testing::TempDir() + "/daemon_throw.jsonl";
+  std::remove(journal_path.c_str());
+  PipePair pipe;
+  ThrowOnReportTransport throwing(pipe.server(), "boom");
+  DaemonOptions options;
+  options.journal_path = journal_path;
+  // A leaked slot would hold the drain for this long before it cancels
+  // stragglers, and then forever: the bounded wait below fails first.
+  options.drain_wait_ms = 300000.0;
+  Daemon daemon(&throwing, options);
+  util::Status serve_status = util::Status::Ok();
+  std::thread serve([&] { serve_status = daemon.Serve(); });
+
+  SendPayload(pipe.client(), RenderRepairRequest(MicroSpec("boom")));
+  AwaitFrame(pipe.client(), "ack", "boom");
+  obsctl::JsonValue error = AwaitFrame(pipe.client(), "error", "boom");
+  EXPECT_EQ(error.StringOr("code", ""), "Internal");
+  EXPECT_NE(error.StringOr("message", "").find("injected"), std::string::npos);
+
+  const util::Stopwatch waited;
+  while (daemon.stats().active != 0 && waited.ElapsedSeconds() < 30.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(daemon.stats().active, 0);
+  EXPECT_EQ(daemon.stats().running, 0);
+
+  // The daemon keeps serving: the next request reports normally.
+  SendPayload(pipe.client(), RenderRepairRequest(MicroSpec("after")));
+  obsctl::JsonValue report = AwaitFrame(pipe.client(), "report", "after");
+  EXPECT_EQ(report.StringOr("status", ""), "ok");
+
+  pipe.client()->Close();  // EOF: Serve drains and returns
+  serve.join();
+  EXPECT_TRUE(serve_status.ok()) << serve_status.ToString();
+  EXPECT_EQ(daemon.stats().active, 0);
+  EXPECT_EQ(daemon.stats().completed, 2);
+
+  // The repair itself finished and was journaled before its report write
+  // threw, so the journal keeps that one req.end and adds what the client
+  // was told.
+  std::ifstream in(journal_path);
+  ASSERT_TRUE(in.is_open());
+  int ends = 0;
+  int errors = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    auto event = obsctl::ParseJson(line);
+    if (!event.ok() || event->StringOr("id", "") != "boom") continue;
+    const std::string type = event->StringOr("type", "");
+    if (type == "req.end") ++ends;
+    if (type == "req.error") {
+      ++errors;
+      EXPECT_NE(event->StringOr("detail", "").find("injected"),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(ends, 1);
+  EXPECT_EQ(errors, 1);
 }
 
 TEST(DaemonTest, RequestShutdownCancelsStragglersPastDrainDeadline) {

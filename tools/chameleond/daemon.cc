@@ -1,9 +1,11 @@
 #include "tools/chameleond/daemon.h"
 
 #include <chrono>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "src/core/chameleon.h"
@@ -299,7 +301,7 @@ util::Status Daemon::HandleFrame(const std::string& payload) {
     }
     journal_.Record(obs::JournalEvent("proto.error")
                         .Set("detail", frame.status().message()));
-    return SendFrame(RenderError("", frame.status().code(),
+    return SendFrame(RenderError(FrameIdOf(payload), frame.status().code(),
                                  frame.status().message()));
   }
   switch (frame->kind) {
@@ -384,8 +386,24 @@ util::Status Daemon::Submit(const RepairRequestSpec& spec) {
                       .Set("tau", spec.tau)
                       .Set("seed", static_cast<int64_t>(spec.seed))
                       .Set("deadline_ms", spec.deadline_ms));
-  static_cast<void>(pool_->Submit(
-      [this, spec, deadline] { RunRequest(spec, deadline); }));
+  static_cast<void>(pool_->Submit([this, spec, deadline] {
+    // The pool's future is discarded, so a throw must stop here: escaping
+    // the task, it would leave the client without an answer and the slot
+    // taken, and Drain would wait for it forever.
+    {
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      ++stats_.running;
+    }
+    RequestOutcome outcome;
+    try {
+      RunRequest(spec, deadline, &outcome);
+    } catch (const std::exception& e) {
+      FailRequest(spec, e.what(), outcome);
+    } catch (...) {
+      FailRequest(spec, "unknown exception", outcome);
+    }
+    ReleaseSlot(spec, outcome);
+  }));
   return util::Status::Ok();
 }
 
@@ -406,12 +424,9 @@ util::Status Daemon::Cancel(const std::string& id) {
 }
 
 void Daemon::RunRequest(const RepairRequestSpec& spec,
-                        const std::shared_ptr<fm::Deadline>& deadline) {
+                        const std::shared_ptr<fm::Deadline>& deadline,
+                        RequestOutcome* outcome) {
   journal_.Record(obs::JournalEvent("req.start").Set("id", spec.id));
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    ++stats_.running;
-  }
 
   // Request-scoped telemetry (DESIGN.md §15): the request runs against
   // its own Observability — own VirtualClock, registry, journal, tracer —
@@ -466,9 +481,9 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
   // Journal + respond before releasing the slot: Drain closes the
   // journal stream only once every slot is free, so req.end always makes
   // it to disk, and a resumed daemon never re-parks a finished request.
-  bool was_cancelled = false;
   if (report.ok()) {
-    was_cancelled = report->cancelled;
+    outcome->cancelled = report->cancelled;
+    outcome->deadline_expired = report->deadline_expired;
     journal_.Record(obs::JournalEvent("req.end")
                         .Set("id", spec.id)
                         .Set("status", ReportStatusLabel(*report))
@@ -476,6 +491,7 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
                         .Set("queries", report->queries)
                         .Set("parked", report->faults.parked_entries())
                         .Set("digest", ReportDigest(*report)));
+    outcome->ended = true;
     util::Status sent =
         SendFrame(RenderReport(spec.id, *report, deadline->ElapsedMs()));
     static_cast<void>(sent);  // peer may be gone; the journal has it
@@ -485,11 +501,37 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
                         .Set("status", "failed")
                         .Set("code",
                              util::StatusCodeName(report.status().code())));
+    outcome->ended = true;
     util::Status sent = SendFrame(RenderError(spec.id, report.status().code(),
                                               report.status().message()));
     static_cast<void>(sent);
   }
+}
 
+void Daemon::FailRequest(const RepairRequestSpec& spec,
+                         const std::string& what,
+                         const RequestOutcome& outcome) {
+  try {
+    const std::string message = "repair threw: " + what;
+    // A throw after req.end (the report's write) leaves the journaled
+    // outcome standing and records what the client was told instead.
+    obs::JournalEvent event(outcome.ended ? "req.error" : "req.end");
+    event.Set("id", spec.id);
+    if (!outcome.ended) {
+      event.Set("status", "failed")
+          .Set("code", util::StatusCodeName(util::StatusCode::kInternal));
+    }
+    journal_.Record(event.Set("detail", message));
+    util::Status sent = SendFrame(
+        RenderError(spec.id, util::StatusCode::kInternal, message));
+    static_cast<void>(sent);  // peer may be gone; the journal has it
+  } catch (...) {
+    // Nothing more can be reported; the caller still frees the slot.
+  }
+}
+
+void Daemon::ReleaseSlot(const RepairRequestSpec& spec,
+                         const RequestOutcome& outcome) {
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     active_.erase(spec.id);
@@ -500,8 +542,8 @@ void Daemon::RunRequest(const RepairRequestSpec& spec,
     --stats_.active;
     --stats_.running;
     ++stats_.completed;
-    if (was_cancelled) ++stats_.cancelled;
-    if (report.ok() && report->deadline_expired) ++stats_.deadline_expired;
+    if (outcome.cancelled) ++stats_.cancelled;
+    if (outcome.deadline_expired) ++stats_.deadline_expired;
   }
   drain_cv_.notify_all();
 }

@@ -147,13 +147,33 @@ class Daemon {
   /// and waits for them to park.
   [[nodiscard]] util::Status Drain();
 
+  /// What a request's worker body got done, kept outside it so a throw
+  /// midway still leaves the slot release correct.
+  struct RequestOutcome {
+    bool ended = false;  ///< req.end is journaled
+    bool cancelled = false;
+    bool deadline_expired = false;
+  };
+
   /// Worker body: takes the dataset's shared world, copies its corpus
   /// and builds the per-request model stack (its own simulator, fault
   /// injector, resilience decorator, and Deadline — nothing mutable is
   /// shared with another request), runs the repair, journals the outcome,
   /// and sends the report frame.
   void RunRequest(const RepairRequestSpec& spec,
-                  const std::shared_ptr<fm::Deadline>& deadline);
+                  const std::shared_ptr<fm::Deadline>& deadline,
+                  RequestOutcome* outcome);
+
+  /// Answers a request whose worker body threw: journals req.end failed
+  /// (or req.error, when req.end was already journaled) and sends an
+  /// Internal error frame with the request id. Never throws.
+  void FailRequest(const RepairRequestSpec& spec, const std::string& what,
+                   const RequestOutcome& outcome);
+
+  /// Frees the request's admission slot and wakes Drain; runs once per
+  /// admitted request, however its worker body ended.
+  void ReleaseSlot(const RepairRequestSpec& spec,
+                   const RequestOutcome& outcome);
 
   /// The shared world of `kind`, built on the first request of that kind
   /// (concurrent first requests wait on one build).

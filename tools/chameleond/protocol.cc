@@ -116,6 +116,12 @@ bool IsValidUtf8(const std::string& text) {
   return true;
 }
 
+std::string FrameIdOf(const std::string& payload) {
+  if (!IsValidUtf8(payload)) return "";
+  auto json = obsctl::ParseJson(payload);
+  return json.ok() && json->is_object() ? json->StringOr("id", "") : "";
+}
+
 util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
   if (!IsValidUtf8(payload)) {
     return util::Status::InvalidArgument("frame body is not valid UTF-8");

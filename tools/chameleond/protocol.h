@@ -75,6 +75,11 @@ struct ParsedFrame {
 [[nodiscard]] util::Result<ParsedFrame> ParseRequestFrame(
     const std::string& payload);
 
+/// The string `id` of a frame body that parses as a JSON object, and ""
+/// otherwise: an error frame for a frame ParseRequestFrame refused still
+/// names the request when its id was readable.
+std::string FrameIdOf(const std::string& payload);
+
 /// True when `text` is well-formed UTF-8 (the frame body contract; JSON
 /// escapes aside, the parser itself is byte-oriented and would happily
 /// pass raw Latin-1 through into journals).
