@@ -1,7 +1,12 @@
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "src/datasets/feret.h"
 #include "src/image/draw.h"
 #include "src/image/face_renderer.h"
 #include "src/image/filter.h"
@@ -10,6 +15,7 @@
 #include "src/image/mask_generator.h"
 #include "src/image/pnm_io.h"
 #include "src/util/rng.h"
+#include "tests/image_reference_kernels.h"
 
 namespace chameleon::image {
 namespace {
@@ -301,6 +307,227 @@ TEST(MaskGeneratorTest, NamesAreStable) {
   EXPECT_STREQ(MaskLevelName(MaskLevel::kAccurate), "Accurate");
   EXPECT_STREQ(MaskLevelName(MaskLevel::kModerate), "Moderate");
   EXPECT_STREQ(MaskLevelName(MaskLevel::kImprecise), "Imprecise");
+}
+
+// 64-bit FNV-1a over an image's shape and pixels, chained from `hash`.
+uint64_t DigestImage(const Image& img, uint64_t hash = 0xcbf29ce484222325ULL) {
+  auto mix = [&hash](uint64_t byte) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  };
+  for (int dim : {img.width(), img.height(), img.channels()}) {
+    for (int shift = 0; shift < 32; shift += 8) mix((dim >> shift) & 0xff);
+  }
+  for (uint8_t p : img.pixels()) mix(p);
+  return hash;
+}
+
+// FERET-style portraits (the dataset's palette, backdrop and per-shot
+// lighting jitter), two shots of each gender x ethnicity cell.
+std::vector<Image> FeretStyleFaces(int size) {
+  util::Rng rng(static_cast<uint64_t>(9000 + size));
+  const fm::FaceStyleFn style_fn = datasets::FeretFaceStyleFn();
+  RenderOptions render;
+  render.size = size;
+  std::vector<Image> faces;
+  for (int ethnicity = 0; ethnicity < 5; ++ethnicity) {
+    for (int gender = 0; gender < 2; ++gender) {
+      for (int shot = 0; shot < 2; ++shot) {
+        const FaceStyle style = style_fn({gender, ethnicity}, &rng);
+        const SceneStyle scene =
+            JitterScene(datasets::FeretScene(), 12.0, &rng);
+        faces.push_back(RenderFace(style, scene, render, &rng));
+      }
+    }
+  }
+  return faces;
+}
+
+// Golden digests of the rendered faces (which run GaussianBlur) and of
+// GenerateMask at every level over them. The image kernels may get
+// faster; these bytes may not move.
+TEST(MaskGoldenTest, DigestsOfFeretStyleMasksAreStable) {
+  struct Golden {
+    int size;
+    uint64_t faces;
+    uint64_t accurate;
+    uint64_t moderate;
+    uint64_t imprecise;
+  };
+  const Golden goldens[] = {
+      {64, 0x0be774ecfdba92dfULL, 0x38b39aef69561526ULL,
+       0x471c3c02112b705fULL, 0x9d4d5f279fc531c3ULL},
+      {24, 0x883e3617910ea648ULL, 0x6cdd567552abba9eULL,
+       0x081ee63f43577964ULL, 0xe8497fe5a0382dddULL},
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(testing::Message() << golden.size << " px");
+    uint64_t faces = 0xcbf29ce484222325ULL;
+    uint64_t levels[3] = {faces, faces, faces};
+    for (const Image& face : FeretStyleFaces(golden.size)) {
+      faces = DigestImage(face, faces);
+      int i = 0;
+      for (MaskLevel level : {MaskLevel::kAccurate, MaskLevel::kModerate,
+                              MaskLevel::kImprecise}) {
+        levels[i] = DigestImage(GenerateMask(face, level), levels[i]);
+        ++i;
+      }
+    }
+    EXPECT_EQ(faces, golden.faces);
+    EXPECT_EQ(levels[0], golden.accurate);
+    EXPECT_EQ(levels[1], golden.moderate);
+    EXPECT_EQ(levels[2], golden.imprecise);
+  }
+}
+
+// Differential tests: each production kernel against the naive
+// reference copy in tests/image_reference_kernels.h, on seeded random
+// inputs of every shape from 1x1 to 80x80.
+
+int RandomSide(util::Rng* rng) { return static_cast<int>(rng->NextInt(1, 80)); }
+
+int RandomChannels(util::Rng* rng) { return rng->NextBernoulli(0.5) ? 1 : 3; }
+
+// Random bytes in every channel; channel 0 is non-zero (any value
+// 1..255) with probability `density`.
+Image RandomMask(int w, int h, int channels, double density, util::Rng* rng) {
+  Image mask(w, h, channels, 0);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      for (int c = 1; c < channels; ++c) {
+        mask.at(x, y, c) = static_cast<uint8_t>(rng->NextBounded(256));
+      }
+      if (rng->NextBernoulli(density)) {
+        mask.at(x, y, 0) = static_cast<uint8_t>(rng->NextInt(1, 255));
+      }
+    }
+  }
+  return mask;
+}
+
+// A vertical-gradient backdrop with random blobs and rectangles and
+// optional per-pixel noise: the shape of scene ExtractForeground is built
+// for, plus enough clutter to leave many components (ties included).
+Image RandomScene(int w, int h, int channels, util::Rng* rng) {
+  auto color = [rng]() {
+    return Color{static_cast<uint8_t>(rng->NextBounded(256)),
+                 static_cast<uint8_t>(rng->NextBounded(256)),
+                 static_cast<uint8_t>(rng->NextBounded(256))};
+  };
+  Image img(w, h, channels);
+  FillVerticalGradient(&img, color(), color());
+  const int blobs = static_cast<int>(rng->NextBounded(6));
+  for (int i = 0; i < blobs; ++i) {
+    if (rng->NextBernoulli(0.5)) {
+      FillCircle(&img, rng->NextDouble() * w, rng->NextDouble() * h,
+                 rng->NextDouble() * 0.4 * std::max(w, h), color());
+    } else {
+      const int x0 = static_cast<int>(rng->NextBounded(w));
+      const int y0 = static_cast<int>(rng->NextBounded(h));
+      FillRect(&img, x0, y0, x0 + static_cast<int>(rng->NextInt(1, w)),
+               y0 + static_cast<int>(rng->NextInt(1, h)), color());
+    }
+  }
+  // Flat, lightly noisy or heavily noisy. Flat regions are where a blur's
+  // summation order shows: a constant run sums to just under or over an
+  // integer.
+  const double noises[] = {0.0, 4.0, 40.0};
+  AddGaussianNoise(&img, noises[rng->NextBounded(3)], rng);
+  return img;
+}
+
+TEST(KernelDifferentialTest, DilateDiscMatchesDiscStamping) {
+  util::Rng rng(2101);
+  int cases = 0;
+  for (int i = 0; i < 700; ++i) {
+    const int w = RandomSide(&rng);
+    const int h = RandomSide(&rng);
+    // Every fifth case dilates past the image's far corner.
+    const int radius = i % 5 == 4 ? std::max(w, h) + 1 +
+                                         static_cast<int>(rng.NextBounded(8))
+                                   : static_cast<int>(rng.NextInt(1, 40));
+    // Empty, sparse and (for small discs) dense masks.
+    const double densities[] = {0.0, 0.003, 0.03, 0.25};
+    double density = densities[rng.NextBounded(4)];
+    if (radius > 8) density = std::min(density, 0.03);
+    const Image mask = RandomMask(w, h, RandomChannels(&rng), density, &rng);
+    SCOPED_TRACE(testing::Message() << "case " << i << ": " << w << "x" << h
+                                    << "x" << mask.channels() << " radius "
+                                    << radius << " density " << density);
+    ASSERT_EQ(DilateDisc(mask, radius), reference::DilateDisc(mask, radius));
+    ++cases;
+  }
+  // A single pixel in each corner of a fixed image at every radius 1..40.
+  for (int radius = 1; radius <= 40; ++radius) {
+    Image mask(37, 23, 1, 0);
+    mask.at(0, 0, 0) = 255;
+    mask.at(36, 22, 0) = 7;
+    mask.at(18, 11, 0) = 1;
+    SCOPED_TRACE(testing::Message() << "corners, radius " << radius);
+    ASSERT_EQ(DilateDisc(mask, radius), reference::DilateDisc(mask, radius));
+    ++cases;
+  }
+  EXPECT_EQ(cases, 740);
+  // Radius <= 0 returns the input unchanged, channels included.
+  const Image rgb = RandomMask(9, 5, 3, 0.3, &rng);
+  EXPECT_EQ(DilateDisc(rgb, 0), rgb);
+  EXPECT_EQ(DilateDisc(rgb, -3), rgb);
+}
+
+TEST(KernelDifferentialTest, ExtractForegroundMatchesPerPixelThreshold) {
+  util::Rng rng(2102);
+  for (int i = 0; i < 600; ++i) {
+    const int w = RandomSide(&rng);
+    const int h = RandomSide(&rng);
+    const Image scene = RandomScene(w, h, RandomChannels(&rng), &rng);
+    ForegroundOptions options;
+    if (i % 3 == 2) options.color_threshold = rng.NextDouble() * 80.0;
+    for (bool largest : {true, false}) {
+      options.largest_component_only = largest;
+      SCOPED_TRACE(testing::Message()
+                   << "case " << i << ": " << w << "x" << h << "x"
+                   << scene.channels() << " threshold "
+                   << options.color_threshold << " largest " << largest);
+      ASSERT_EQ(ExtractForeground(scene, options),
+                reference::ExtractForeground(scene, options));
+    }
+  }
+  // Speckle noise leaves many equal-size components: the first one found
+  // in raster order must win the tie.
+  for (int i = 0; i < 40; ++i) {
+    Image speckle = RandomMask(RandomSide(&rng), RandomSide(&rng), 1, 0.08,
+                               &rng);
+    for (uint8_t& p : speckle.mutable_pixels()) p = p != 0 ? 200 : 100;
+    // Keep the border rows at the background value.
+    for (int x = 0; x < speckle.width(); ++x) {
+      speckle.at(x, 0, 0) = 100;
+      speckle.at(x, speckle.height() - 1, 0) = 100;
+    }
+    ASSERT_EQ(ExtractForeground(speckle),
+              reference::ExtractForeground(speckle));
+  }
+  // Empty image.
+  EXPECT_EQ(ExtractForeground(Image()), reference::ExtractForeground(Image()));
+}
+
+TEST(KernelDifferentialTest, GaussianBlurMatchesClampedPerPixelSum) {
+  util::Rng rng(2103);
+  const double sigmas[] = {0.5, 0.7, 1.3, 3.0};
+  for (int i = 0; i < 600; ++i) {
+    const int w = RandomSide(&rng);
+    const int h = RandomSide(&rng);
+    const double sigma = sigmas[i % 4];
+    const Image img = i % 2 == 0
+                          ? RandomMask(w, h, RandomChannels(&rng), 0.5, &rng)
+                          : RandomScene(w, h, RandomChannels(&rng), &rng);
+    SCOPED_TRACE(testing::Message() << "case " << i << ": " << w << "x" << h
+                                    << "x" << img.channels() << " sigma "
+                                    << sigma);
+    ASSERT_EQ(GaussianBlur(img, sigma), reference::GaussianBlur(img, sigma));
+  }
+  const Image img = RandomScene(12, 7, 3, &rng);
+  EXPECT_EQ(GaussianBlur(img, 0.0), img);
+  EXPECT_EQ(GaussianBlur(Image(), 1.0), Image());
 }
 
 }  // namespace
