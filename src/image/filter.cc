@@ -20,33 +20,47 @@ Image GaussianBlur(const Image& input, double sigma) {
   const int w = input.width();
   const int h = input.height();
   const int ch = input.channels();
+  const size_t row = static_cast<size_t>(w) * ch;
 
-  // Horizontal pass into a float buffer, then vertical pass.
-  std::vector<double> temp(static_cast<size_t>(w) * h * ch, 0.0);
+  // Both passes run tap by tap over whole rows, so every output still sums
+  // kernel[i] * sample in tap order (i = -radius..radius), in double, with
+  // the sample index clamped to the image: byte-identical to the per-pixel
+  // loop, but the inner loops read one contiguous row. Only the columns
+  // whose tap leaves the image pay for std::clamp.
+  std::vector<double> temp(row * h, 0.0);
+  std::vector<double> samples(row);
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      for (int c = 0; c < ch; ++c) {
-        double acc = 0.0;
-        for (int i = -radius; i <= radius; ++i) {
-          const int sx = std::clamp(x + i, 0, w - 1);
-          acc += kernel[i + radius] * input.at(sx, y, c);
-        }
-        temp[(static_cast<size_t>(y) * w + x) * ch + c] = acc;
-      }
+    const uint8_t* pixels = input.pixels().data() + y * row;
+    std::copy(pixels, pixels + row, samples.begin());
+    const double* in = samples.data();
+    double* acc = temp.data() + y * row;
+    for (int i = -radius; i <= radius; ++i) {
+      const double k = kernel[i + radius];
+      // Columns [lo, hi) read in-range column x + i.
+      const int lo = std::clamp(-i, 0, w);
+      const int hi = std::max(lo, std::min(w, w - i));
+      auto border = [&](int x) {
+        const double* src = in + std::clamp(x + i, 0, w - 1) * ch;
+        for (int c = 0; c < ch; ++c) acc[x * ch + c] += k * src[c];
+      };
+      for (int x = 0; x < lo; ++x) border(x);
+      const int shift = i * ch;
+      for (int j = lo * ch; j < hi * ch; ++j) acc[j] += k * in[j + shift];
+      for (int x = hi; x < w; ++x) border(x);
     }
   }
   Image out(w, h, ch);
+  std::vector<double> acc(row);
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      for (int c = 0; c < ch; ++c) {
-        double acc = 0.0;
-        for (int i = -radius; i <= radius; ++i) {
-          const int sy = std::clamp(y + i, 0, h - 1);
-          acc += kernel[i + radius] *
-                 temp[(static_cast<size_t>(sy) * w + x) * ch + c];
-        }
-        out.at(x, y, c) = static_cast<uint8_t>(std::clamp(acc, 0.0, 255.0));
-      }
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (int i = -radius; i <= radius; ++i) {
+      const double k = kernel[i + radius];
+      const double* src = temp.data() + std::clamp(y + i, 0, h - 1) * row;
+      for (size_t j = 0; j < row; ++j) acc[j] += k * src[j];
+    }
+    uint8_t* dst = out.mutable_pixels().data() + y * row;
+    for (size_t j = 0; j < row; ++j) {
+      dst[j] = static_cast<uint8_t>(std::clamp(acc[j], 0.0, 255.0));
     }
   }
   return out;
@@ -77,22 +91,47 @@ Image DilateDisc(const Image& mask, int radius) {
   if (radius <= 0) return mask;
   const int w = mask.width();
   const int h = mask.height();
-  // Precompute the disc offsets.
-  std::vector<std::pair<int, int>> offsets;
-  for (int dy = -radius; dy <= radius; ++dy) {
-    for (int dx = -radius; dx <= radius; ++dx) {
-      if (dx * dx + dy * dy <= radius * radius) offsets.emplace_back(dx, dy);
+  const int ch = mask.channels();
+  Image out(w, h, 1, 0);
+  if (out.empty()) return out;
+  // Any two pixels are less than w + h apart, so a larger disc covers no
+  // more.
+  const int r = std::min(radius, w + h);
+
+  // Row pass: dx = distance to the nearest foreground pixel in the same
+  // row, capped at r + 1 (too far for any disc).
+  std::vector<int> dx(static_cast<size_t>(w) * h);
+  for (int y = 0; y < h; ++y) {
+    const uint8_t* in = mask.pixels().data() + static_cast<size_t>(y) * w * ch;
+    int* d = dx.data() + static_cast<size_t>(y) * w;
+    int run = r + 1;
+    for (int x = 0; x < w; ++x) {
+      run = in[x * ch] != 0 ? 0 : std::min(run + 1, r + 1);
+      d[x] = run;
+    }
+    run = r + 1;
+    for (int x = w - 1; x >= 0; --x) {
+      run = in[x * ch] != 0 ? 0 : std::min(run + 1, r + 1);
+      d[x] = std::min(d[x], run);
     }
   }
-  Image out(w, h, 1, 0);
+
+  // Column pass: (x, y) is set iff some row y + dy holds a foreground
+  // pixel with dx^2 + dy^2 <= r^2, i.e. dx <= reach[|dy|], the widest
+  // half-chord of the disc at that height. The same test as stamping the
+  // disc on every foreground pixel, in O(w * h * min(2r + 1, h)).
+  std::vector<int> reach(r + 1);
+  const int64_t r2 = static_cast<int64_t>(r) * r;
+  for (int k = 0, m = r; k <= r; ++k) {
+    while (static_cast<int64_t>(m) * m + static_cast<int64_t>(k) * k > r2) --m;
+    reach[k] = m;
+  }
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (mask.at(x, y, 0) == 0) continue;
-      for (const auto& [dx, dy] : offsets) {
-        const int nx = x + dx;
-        const int ny = y + dy;
-        if (nx >= 0 && nx < w && ny >= 0 && ny < h) out.at(nx, ny, 0) = 255;
-      }
+    uint8_t* o = out.mutable_pixels().data() + static_cast<size_t>(y) * w;
+    for (int sy = std::max(0, y - r); sy <= std::min(h - 1, y + r); ++sy) {
+      const int limit = reach[std::abs(sy - y)];
+      const int* d = dx.data() + static_cast<size_t>(sy) * w;
+      for (int x = 0; x < w; ++x) o[x] |= d[x] <= limit ? 255 : 0;
     }
   }
   return out;

@@ -1,120 +1,104 @@
 #include "src/image/foreground.h"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace chameleon::image {
-namespace {
-
-// Mean border color per channel (top & bottom rows, left & right columns).
-void EstimateBackground(const Image& img, double bg[3]) {
-  double sum[3] = {0, 0, 0};
-  int64_t count = 0;
-  auto accumulate = [&](int x, int y) {
-    for (int c = 0; c < img.channels(); ++c) sum[c] += img.at(x, y, c);
-    ++count;
-  };
-  for (int x = 0; x < img.width(); ++x) {
-    accumulate(x, 0);
-    accumulate(x, img.height() - 1);
-  }
-  for (int y = 1; y < img.height() - 1; ++y) {
-    accumulate(0, y);
-    accumulate(img.width() - 1, y);
-  }
-  for (int c = 0; c < 3; ++c) {
-    bg[c] = c < img.channels() ? sum[c] / count : bg[0];
-  }
-}
-
-}  // namespace
 
 Image ExtractForeground(const Image& input, const ForegroundOptions& options) {
   const int w = input.width();
   const int h = input.height();
+  const int ch = input.channels();
   Image mask(w, h, 1, 0);
   if (input.empty()) return mask;
-
-  double bg[3] = {0, 0, 0};
-  EstimateBackground(input, bg);
+  const size_t row = static_cast<size_t>(w) * ch;
+  const uint8_t* pixels = input.pixels().data();
 
   // The synthetic scenes use vertical gradients, so compare against the
-  // row-interpolated background: top-row estimate blended towards the
-  // bottom-row estimate.
+  // row-interpolated background: top-row mean blended towards the
+  // bottom-row mean.
   double bg_top[3] = {0, 0, 0};
   double bg_bottom[3] = {0, 0, 0};
-  for (int c = 0; c < input.channels(); ++c) {
+  const uint8_t* top = pixels;
+  const uint8_t* bottom = pixels + (h - 1) * row;
+  for (int c = 0; c < ch; ++c) {
     double top_sum = 0.0;
     double bottom_sum = 0.0;
     for (int x = 0; x < w; ++x) {
-      top_sum += input.at(x, 0, c);
-      bottom_sum += input.at(x, h - 1, c);
+      top_sum += top[x * ch + c];
+      bottom_sum += bottom[x * ch + c];
     }
     bg_top[c] = top_sum / w;
     bg_bottom[c] = bottom_sum / w;
   }
 
+  uint8_t* out = mask.mutable_pixels().data();
   for (int y = 0; y < h; ++y) {
     const double t = h > 1 ? static_cast<double>(y) / (h - 1) : 0.0;
+    double expected[3];
+    for (int c = 0; c < ch; ++c) {
+      expected[c] = bg_top[c] + t * (bg_bottom[c] - bg_top[c]);
+    }
+    const uint8_t* in = pixels + y * row;
+    uint8_t* o = out + static_cast<size_t>(y) * w;
     for (int x = 0; x < w; ++x) {
       double dist = 0.0;
-      for (int c = 0; c < input.channels(); ++c) {
-        const double expected = bg_top[c] + t * (bg_bottom[c] - bg_top[c]);
-        dist += std::fabs(input.at(x, y, c) - expected);
+      for (int c = 0; c < ch; ++c) {
+        dist += std::fabs(in[x * ch + c] - expected[c]);
       }
-      dist /= input.channels();
-      if (dist > options.color_threshold) mask.at(x, y, 0) = 255;
+      dist /= ch;
+      if (dist > options.color_threshold) o[x] = 255;
     }
   }
 
   if (!options.largest_component_only) return mask;
 
-  // Largest 4-connected component by BFS.
-  std::vector<int> label(static_cast<size_t>(w) * h, 0);
+  // Largest 4-connected component by breadth-first search over a flat
+  // queue. `label` pads the image with a one-pixel frame and starts at -1
+  // on the frame and on background pixels, 0 on unvisited foreground, so
+  // the search needs no bounds checks. Components are found in raster
+  // order of their first pixel and a later one must be strictly larger
+  // to win, so of equal-size components the first found is kept.
+  const int stride = w + 2;
+  std::vector<int> label(static_cast<size_t>(stride) * (h + 2), -1);
+  for (int y = 0; y < h; ++y) {
+    const uint8_t* o = out + static_cast<size_t>(y) * w;
+    int* l = label.data() + static_cast<size_t>(y + 1) * stride + 1;
+    for (int x = 0; x < w; ++x) l[x] = o[x] != 0 ? 0 : -1;
+  }
+  std::vector<int> queue(static_cast<size_t>(w) * h);
   int next_label = 0;
   int best_label = 0;
-  int64_t best_size = 0;
-  std::vector<int> queue;
+  int best_size = 0;
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
-      const int idx = y * w + x;
-      if (mask.at(x, y, 0) == 0 || label[idx] != 0) continue;
+      const int start = (y + 1) * stride + x + 1;
+      if (label[start] != 0) continue;
       ++next_label;
-      int64_t size = 0;
-      queue.clear();
-      queue.push_back(idx);
-      label[idx] = next_label;
-      while (!queue.empty()) {
-        const int cur = queue.back();
-        queue.pop_back();
-        ++size;
-        const int cy = cur / w;
-        const int cx = cur % w;
-        constexpr int kDx[] = {1, -1, 0, 0};
-        constexpr int kDy[] = {0, 0, 1, -1};
-        for (int dir = 0; dir < 4; ++dir) {
-          const int nx = cx + kDx[dir];
-          const int ny = cy + kDy[dir];
-          if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
-          const int nidx = ny * w + nx;
-          if (mask.at(nx, ny, 0) != 0 && label[nidx] == 0) {
-            label[nidx] = next_label;
-            queue.push_back(nidx);
+      int head = 0;
+      int tail = 0;
+      label[start] = next_label;
+      queue[tail++] = start;
+      while (head < tail) {
+        const int cur = queue[head++];
+        for (int next : {cur + 1, cur - 1, cur + stride, cur - stride}) {
+          if (label[next] == 0) {
+            label[next] = next_label;
+            queue[tail++] = next;
           }
         }
       }
-      if (size > best_size) {
-        best_size = size;
+      if (tail > best_size) {
+        best_size = tail;
         best_label = next_label;
       }
     }
   }
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      mask.at(x, y, 0) = label[y * w + x] == best_label && best_label != 0
-                             ? 255
-                             : 0;
-    }
+    uint8_t* o = out + static_cast<size_t>(y) * w;
+    const int* l = label.data() + static_cast<size_t>(y + 1) * stride + 1;
+    for (int x = 0; x < w; ++x) o[x] = l[x] == best_label ? 255 : 0;
   }
   return mask;
 }
