@@ -161,9 +161,21 @@ CombinationPlan RandomSelect(const data::AttributeSchema& schema,
   for (const auto& m : all_mups) {
     if (m.Level() == target_level && m.gap > 0) targets.push_back(m);
   }
+  // A saturated count indexes no combination; draw one value per
+  // attribute instead.
+  const int64_t combinations = schema.NumCombinations();
+  const bool saturated =
+      combinations == std::numeric_limits<int64_t>::max();
   while (!targets.empty()) {
-    const int64_t index = rng->NextBounded(schema.NumCombinations());
-    const std::vector<int> values = schema.CombinationFromIndex(index);
+    std::vector<int> values(schema.num_attributes());
+    if (saturated) {
+      for (int i = 0; i < schema.num_attributes(); ++i) {
+        values[i] = static_cast<int>(
+            rng->NextBounded(schema.attribute(i).cardinality()));
+      }
+    } else {
+      values = schema.CombinationFromIndex(rng->NextBounded(combinations));
+    }
     plan.AddCount(values, 1);
     for (auto& m : targets) {
       if (m.pattern.Matches(values)) --m.gap;

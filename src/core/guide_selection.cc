@@ -2,10 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace chameleon::core {
 namespace {
+
+// The LinUCB context dimension for `schema`: one slot per combination, or
+// 0 when the count does not fit an int.
+int LinUcbContextDim(const data::AttributeSchema& schema) {
+  const int64_t combinations = schema.NumCombinations();
+  return combinations <= std::numeric_limits<int>::max()
+             ? static_cast<int>(combinations)
+             : 0;
+}
 
 // Tuple indices in `dataset` matching a full combination.
 std::vector<size_t> TuplesMatching(const data::Dataset& dataset,
@@ -105,12 +115,16 @@ util::Result<GuideChoice> SimilarTupleSelector::Select(
 LinUcbSelector::LinUcbSelector(const data::AttributeSchema& schema,
                                double alpha)
     : schema_(schema),
-      bandit_(schema.num_attributes(),
-              static_cast<int>(schema.NumCombinations()), alpha) {}
+      bandit_(schema.num_attributes(), LinUcbContextDim(schema), alpha) {}
 
 util::Result<GuideChoice> LinUcbSelector::Select(
     const data::Dataset& dataset, const std::vector<int>& target,
     util::Rng* rng) {
+  if (bandit_.context_dim() == 0) {
+    return util::Status::InvalidArgument(
+        "LinUCB needs one context slot per combination, and this schema "
+        "has more than INT_MAX combinations");
+  }
   const std::vector<double> context = bandit::LinUcb::OneHotContext(
       bandit_.context_dim(), schema_.CombinationIndex(target));
 

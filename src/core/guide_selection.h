@@ -97,6 +97,11 @@ class SimilarTupleSelector : public GuideSelector {
 /// Arm a = "modify attribute a of the target"; the guide is a tuple
 /// matching the modified combination; reward 1 when the generation
 /// passes both rejection tests.
+///
+/// The context is a one-hot vector with one slot per full combination, so
+/// a schema whose NumCombinations() exceeds INT_MAX does not fit: such a
+/// selector is built without a context and every Select returns
+/// InvalidArgument.
 class LinUcbSelector : public GuideSelector {
  public:
   LinUcbSelector(const data::AttributeSchema& schema, double alpha);

@@ -1,5 +1,7 @@
 #include "src/data/schema.h"
 
+#include <limits>
+
 namespace chameleon::data {
 
 AttributeSchema::AttributeSchema(std::vector<Attribute> attributes)
@@ -27,7 +29,11 @@ int AttributeSchema::FindAttribute(const std::string& name) const {
 
 int64_t AttributeSchema::NumCombinations() const {
   int64_t total = 1;
-  for (const auto& attr : attributes_) total *= attr.cardinality();
+  for (const auto& attr : attributes_) {
+    if (__builtin_mul_overflow(total, attr.cardinality(), &total)) {
+      return std::numeric_limits<int64_t>::max();
+    }
+  }
   return total;
 }
 

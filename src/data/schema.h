@@ -38,11 +38,13 @@ class AttributeSchema {
   /// Index of the attribute with the given name, or -1.
   int FindAttribute(const std::string& name) const;
 
-  /// |x_1| * |x_2| * ... * |x_d| — the number of full-level combinations.
+  /// |x_1| * |x_2| * ... * |x_d| — the number of full-level combinations,
+  /// saturated at INT64_MAX when the product does not fit.
   int64_t NumCombinations() const;
 
   /// Bijection between a full assignment and its dense index in
-  /// [0, NumCombinations()), row-major over attribute order.
+  /// [0, NumCombinations()), row-major over attribute order. Only defined
+  /// below saturation.
   int64_t CombinationIndex(const std::vector<int>& values) const;
   std::vector<int> CombinationFromIndex(int64_t index) const;
 

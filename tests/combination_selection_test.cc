@@ -1,6 +1,8 @@
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "src/core/combination_selection.h"
@@ -118,6 +120,47 @@ TEST(RandomTest, IgnoresOffLevelMups) {
   const auto plan = RandomSelect(schema, mups, 2, &rng);
   // Resolving the single level-2 MUP should cost far less than 1000.
   EXPECT_LT(PlanTotal(plan), 500);
+}
+
+// `attributes` attributes of 1000 values each.
+data::AttributeSchema ThousandValueSchema(int attributes) {
+  data::AttributeSchema schema;
+  std::vector<std::string> domain;
+  for (int v = 0; v < 1000; ++v) domain.push_back(std::to_string(v));
+  for (int a = 0; a < attributes; ++a) {
+    std::string name = "a";
+    name += std::to_string(a);
+    EXPECT_TRUE(schema.AddAttribute({name, domain, false}).ok());
+  }
+  return schema;
+}
+
+// 30 attributes of 1000 values: the combination count saturates, so
+// Greedy grows MUP merges instead of enumerating and Random draws one
+// value per attribute.
+TEST(WideSchemaTest, ThirtyByThousandPlansWithoutEnumerating) {
+  const auto schema = ThousandValueSchema(30);
+  ASSERT_EQ(schema.NumCombinations(), std::numeric_limits<int64_t>::max());
+  std::vector<int> first(30, kX);
+  first[0] = 3;
+  std::vector<int> second(30, kX);
+  second[1] = 7;
+  const std::vector<coverage::Mup> mups = {MakeMup(first, 2),
+                                           MakeMup(second, 2)};
+
+  const auto greedy = GreedySelect(schema, mups);
+  EXPECT_TRUE(PlanSatisfies(greedy, mups));
+  // One merged combination serves both MUPs.
+  ASSERT_EQ(greedy.size(), 1u);
+  EXPECT_EQ(greedy[0].values[0], 3);
+  EXPECT_EQ(greedy[0].values[1], 7);
+
+  util::Rng rng(30);
+  const auto random = RandomSelect(schema, {MakeMup(first, 1)}, 1, &rng);
+  EXPECT_TRUE(PlanSatisfies(random, {MakeMup(first, 1)}));
+  for (const auto& entry : random) {
+    EXPECT_TRUE(schema.IsValidCombination(entry.values));
+  }
 }
 
 TEST(MinGapTest, SatisfiesTargetsEventually) {

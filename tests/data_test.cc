@@ -1,3 +1,6 @@
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <unordered_set>
 
 #include "gtest/gtest.h"
@@ -38,6 +41,23 @@ TEST(SchemaTest, FindAttribute) {
 
 TEST(SchemaTest, NumCombinationsIsDomainProduct) {
   EXPECT_EQ(MakeSchema().NumCombinations(), 2 * 3 * 4);
+}
+
+TEST(SchemaTest, NumCombinationsSaturatesInsteadOfWrapping) {
+  auto wide = [](int attributes) {
+    AttributeSchema schema;
+    for (int a = 0; a < attributes; ++a) {
+      std::vector<std::string> domain;
+      for (int v = 0; v < 1000; ++v) domain.push_back(std::to_string(v));
+      std::string name = "a";
+      name += std::to_string(a);
+      EXPECT_TRUE(schema.AddAttribute({name, domain, false}).ok());
+    }
+    return schema;
+  };
+  EXPECT_EQ(wide(6).NumCombinations(), 1000000000000000000LL);
+  EXPECT_EQ(wide(7).NumCombinations(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(wide(30).NumCombinations(), std::numeric_limits<int64_t>::max());
 }
 
 TEST(SchemaTest, CombinationIndexRoundTrips) {

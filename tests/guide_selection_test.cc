@@ -1,4 +1,6 @@
 #include <set>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/guide_selection.h"
@@ -187,6 +189,28 @@ TEST(LinUcbSelectorTest, LearnsTheRewardingArm) {
     selector.ReportReward(target, *choice, choice->arm == 0);
   }
   EXPECT_GT(selector.bandit().pull_count(0), 40);
+}
+
+TEST(LinUcbSelectorTest, RejectsASchemaTooWideForItsContext) {
+  // 30 attributes of 1000 values: far more combinations than the one-hot
+  // context (an int-sized vector) can index.
+  data::AttributeSchema schema;
+  std::vector<std::string> domain;
+  for (int v = 0; v < 1000; ++v) domain.push_back(std::to_string(v));
+  for (int a = 0; a < 30; ++a) {
+    std::string name = "a";
+    name += std::to_string(a);
+    ASSERT_TRUE(schema.AddAttribute({name, domain, false}).ok());
+  }
+  data::Dataset dataset(schema);
+  data::Tuple tuple;
+  tuple.values.assign(30, 0);
+  ASSERT_TRUE(dataset.Add(tuple).ok());
+  LinUcbSelector selector(schema, 0.5);
+  util::Rng rng(9);
+  auto choice = selector.Select(dataset, std::vector<int>(30, 1), &rng);
+  ASSERT_FALSE(choice.ok());
+  EXPECT_EQ(choice.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(FactoryTest, BuildsEveryStrategy) {
