@@ -49,10 +49,11 @@ int CountMatches(const std::vector<int>& values,
 // The greedy step: the combination matching the most remaining MUPs.
 std::vector<int> FindBestCombination(const data::AttributeSchema& schema,
                                      const std::vector<coverage::Mup>& mups) {
-  if (schema.NumCombinations() <= kEnumerationLimit) {
+  const int64_t combinations = schema.NumCombinations();
+  if (combinations <= kEnumerationLimit) {
     std::vector<int> best;
     int best_matches = -1;
-    for (int64_t c = 0; c < schema.NumCombinations(); ++c) {
+    for (int64_t c = 0; c < combinations; ++c) {
       std::vector<int> values = schema.CombinationFromIndex(c);
       const int matches = CountMatches(values, mups);
       if (matches > best_matches) {
