@@ -12,8 +12,9 @@
 // fast output is byte-identical to the reference output and each kernel
 // keeps its in-process speedup floor over the reference (medians over
 // repetitions): DilateDisc 3x, GaussianBlur 2x, ExtractForeground 1.5x.
-// The floors sit well under the 10-15x, 2.8-3.9x and 1.8-2.5x measured on a
-// 4-vCPU Xeon VM, and unlike absolute ns they hold when the host slows.
+// The floors sit well under the 10-16x, 2.8-3.9x and 1.8-2.5x measured
+// on a 4-vCPU Xeon VM, and unlike absolute ns they hold when the host
+// slows.
 //
 // Flags: --json=<path> (schema-v1 report of the fast kernels' ns/call),
 // --smoke (fewer repetitions).

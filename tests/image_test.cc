@@ -438,7 +438,6 @@ Image RandomScene(int w, int h, int channels, util::Rng* rng) {
 
 TEST(KernelDifferentialTest, DilateDiscMatchesDiscStamping) {
   util::Rng rng(2101);
-  int cases = 0;
   for (int i = 0; i < 700; ++i) {
     const int w = RandomSide(&rng);
     const int h = RandomSide(&rng);
@@ -455,9 +454,8 @@ TEST(KernelDifferentialTest, DilateDiscMatchesDiscStamping) {
                                     << "x" << mask.channels() << " radius "
                                     << radius << " density " << density);
     ASSERT_EQ(DilateDisc(mask, radius), reference::DilateDisc(mask, radius));
-    ++cases;
   }
-  // A single pixel in each corner of a fixed image at every radius 1..40.
+  // Pixels in two opposite corners and the centre, at every radius 1..40.
   for (int radius = 1; radius <= 40; ++radius) {
     Image mask(37, 23, 1, 0);
     mask.at(0, 0, 0) = 255;
@@ -465,9 +463,7 @@ TEST(KernelDifferentialTest, DilateDiscMatchesDiscStamping) {
     mask.at(18, 11, 0) = 1;
     SCOPED_TRACE(testing::Message() << "corners, radius " << radius);
     ASSERT_EQ(DilateDisc(mask, radius), reference::DilateDisc(mask, radius));
-    ++cases;
   }
-  EXPECT_EQ(cases, 740);
   // Radius <= 0 returns the input unchanged, channels included.
   const Image rgb = RandomMask(9, 5, 3, 0.3, &rng);
   EXPECT_EQ(DilateDisc(rgb, 0), rgb);
