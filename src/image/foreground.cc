@@ -36,7 +36,7 @@ Image ExtractForeground(const Image& input, const ForegroundOptions& options) {
   uint8_t* out = mask.mutable_pixels().data();
   for (int y = 0; y < h; ++y) {
     const double t = h > 1 ? static_cast<double>(y) / (h - 1) : 0.0;
-    double expected[3];
+    double expected[3] = {0, 0, 0};
     for (int c = 0; c < ch; ++c) {
       expected[c] = bg_top[c] + t * (bg_bottom[c] - bg_top[c]);
     }
