@@ -288,6 +288,35 @@ TEST(DaemonTest, SingleRepairMatchesDirectRun) {
   EXPECT_EQ(server.daemon().stats().active, 0);
 }
 
+// Literal goldens for what chameleond serves. The digest tests above
+// compare the daemon with a direct run of the same code, so a change that
+// moves both (say, in how the simulator's 64 px render is composited onto
+// a smaller guide, ROADMAP item 1) passes them. These pin the bytes.
+obsctl::JsonValue ServeOne(const RepairRequestSpec& spec) {
+  RunningDaemon server;
+  server.Start();
+  SendPayload(server.client(), RenderRepairRequest(spec));
+  obsctl::JsonValue report = AwaitFrame(server.client(), "report", spec.id);
+  server.Finish();
+  EXPECT_TRUE(server.serve_status().ok()) << server.serve_status().ToString();
+  return report;
+}
+
+TEST(DaemonTest, DefaultMicroRequestServesGoldenDigest) {
+  const obsctl::JsonValue report = ServeOne(MicroSpec("golden-micro"));
+  EXPECT_EQ(report.StringOr("status", ""), "ok");
+  EXPECT_EQ(report.StringOr("records_digest", ""), "cc25d15a6aa5bbf1");
+}
+
+TEST(DaemonTest, CappedUtkFaceRequestServesGoldenDigest) {
+  RepairRequestSpec spec = MicroSpec("golden-utkface");
+  spec.dataset = DatasetKind::kUtkFace;
+  spec.max_queries = 48;
+  const obsctl::JsonValue report = ServeOne(spec);
+  EXPECT_EQ(report.IntOr("queries", 0), 48);
+  EXPECT_EQ(report.StringOr("records_digest", ""), "520783a8b63bbd92");
+}
+
 TEST(DaemonTest, FaultMaskedRepairBitIdenticalToCleanRun) {
   const std::string clean = DirectMicroDigest(MicroSpec("direct"));
   ASSERT_FALSE(clean.empty());
