@@ -66,11 +66,105 @@ Image GaussianBlur(const Image& input, double sigma) {
   return out;
 }
 
+namespace {
+
+// cos and sin of 2 * M_PI * j / kAngleSteps for j = 0..kAngleSteps, the
+// read-only table behind AddGaussianNoise's angles.
+constexpr int kAngleSteps = 1024;
+
+struct AngleTable {
+  double cos[kAngleSteps + 1];
+  double sin[kAngleSteps + 1];
+};
+
+const AngleTable& Angles() {
+  static const AngleTable table = [] {
+    AngleTable t;
+    for (int j = 0; j <= kAngleSteps; ++j) {
+      const double angle =
+          2.0 * M_PI * (static_cast<double>(j) / kAngleSteps);
+      t.cos[j] = std::cos(angle);
+      t.sin[j] = std::sin(angle);
+    }
+    return t;
+  }();
+  return table;
+}
+
+// cos and sin of 2 * M_PI * u2 for u2 in [0, 1), within about 1e-15: the
+// nearest table angle j, plus angle addition over the residual |delta| <=
+// M_PI / 1024, whose Taylor series stop where the next term is < 1e-17.
+// u2 * 1024, its nearest integer and the residual t - j are exact.
+void ApproxCosSin(const AngleTable& table, double u2, double* cosine,
+                  double* sine) {
+  const double t = u2 * kAngleSteps;
+  const int j = static_cast<int>(t + 0.5);
+  const double delta = (t - j) * (2.0 * M_PI / kAngleSteps);
+  const double d2 = delta * delta;
+  const double cos_delta_m1 = d2 * (-0.5 + d2 * (1.0 / 24.0));
+  const double sin_delta =
+      delta * (1.0 + d2 * (-1.0 / 6.0 + d2 * (1.0 / 120.0)));
+  *cosine = table.cos[j] + (table.cos[j] * cos_delta_m1 -
+                            table.sin[j] * sin_delta);
+  *sine = table.sin[j] + (table.sin[j] * cos_delta_m1 +
+                          table.cos[j] * sin_delta);
+}
+
+// The byte the per-byte loop writes for v = p + stddev * n.
+uint8_t NoisyByte(double v) {
+  return static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+}
+
+}  // namespace
+
 void AddGaussianNoise(Image* image, double stddev, util::Rng* rng) {
   if (stddev <= 0.0) return;
-  for (uint8_t& p : image->mutable_pixels()) {
-    const double v = p + rng->NextGaussian(0.0, stddev);
-    p = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+  // Byte-identical to the per-byte loop
+  //   p = clamp(p + rng->NextGaussian(0.0, stddev), 0, 255)
+  // and leaves rng exactly as it would (DESIGN.md §2). Each pair draws
+  // NextGaussian's uniforms and its exact radius, but reads cos/sin from
+  // ApproxCosSin, so the approximate normal n' is within 1e-13 of the
+  // exact n. The byte is monotone in v = p + stddev * n, so when
+  // v' -/+ margin give the same byte, v gives it too; the margin is 1e-9
+  // times (1 + stddev), far above the error. Otherwise, and for a sine
+  // left as the spare, the exact BoxMullerPair decides.
+  uint8_t* p = image->mutable_pixels().data();
+  uint8_t* const end = p + image->mutable_pixels().size();
+  double spare = 0.0;
+  if (p != end && rng->TakeGaussianSpare(&spare)) {
+    *p = NoisyByte(*p + stddev * spare);
+    ++p;
+  }
+  const AngleTable& table = Angles();
+  const double margin = 1e-9 * (1.0 + stddev);
+  while (p != end) {
+    double u1 = 0.0;
+    double u2 = 0.0;
+    rng->NextGaussianUniforms(&u1, &u2);
+    const double radius = util::BoxMullerRadius(u1);
+    double approx[2];
+    ApproxCosSin(table, u2, &approx[0], &approx[1]);
+    double exact[2];
+    bool have_exact = false;
+    const int count = end - p >= 2 ? 2 : 1;
+    for (int k = 0; k < count; ++k) {
+      const double v = p[k] + stddev * (radius * approx[k]);
+      const uint8_t low = NoisyByte(v - margin);
+      if (low == NoisyByte(v + margin)) {
+        p[k] = low;
+        continue;
+      }
+      if (!have_exact) {
+        util::BoxMullerPair(radius, u2, &exact[0], &exact[1]);
+        have_exact = true;
+      }
+      p[k] = NoisyByte(p[k] + stddev * exact[k]);
+    }
+    if (count == 1) {
+      if (!have_exact) util::BoxMullerPair(radius, u2, &exact[0], &exact[1]);
+      rng->SetGaussianSpare(exact[1]);
+    }
+    p += count;
   }
 }
 

@@ -53,20 +53,15 @@ int64_t Rng::NextInt(int64_t lo, int64_t hi) {
 }
 
 double Rng::NextGaussian() {
-  if (has_spare_) {
-    has_spare_ = false;
-    return spare_;
-  }
+  double value = 0.0;
+  if (TakeGaussianSpare(&value)) return value;
   double u1 = 0.0;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 0.0);
-  const double u2 = NextDouble();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  spare_ = radius * std::sin(theta);
-  has_spare_ = true;
-  return radius * std::cos(theta);
+  double u2 = 0.0;
+  NextGaussianUniforms(&u1, &u2);
+  double sine = 0.0;
+  BoxMullerPair(BoxMullerRadius(u1), u2, &value, &sine);
+  SetGaussianSpare(sine);
+  return value;
 }
 
 double Rng::NextGaussian(double mean, double stddev) {

@@ -1,8 +1,12 @@
+#include <cstring>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "src/embedding/simulated_embedder.h"
 #include "src/image/face_renderer.h"
 #include "src/linalg/vector_ops.h"
 #include "src/util/rng.h"
+#include "tests/image_reference_kernels.h"
 
 namespace chameleon::embedding {
 namespace {
@@ -72,6 +76,49 @@ TEST(SimulatedEmbedderTest, CosineSimilarityTracksSceneSimilarity) {
   const auto far = embedder.Embed(MakeFace(20, far_scene));
   EXPECT_GT(linalg::CosineSimilarity(same_1, same_2),
             linalg::CosineSimilarity(same_1, far));
+}
+
+// RawFeatures against the per-pixel loops in
+// tests/image_reference_kernels.h, compared bit for bit: on seeded random
+// bytes of every shape from 1x1 to 80x80 in 1 and 3 channels, and on
+// rendered faces at the corpus sizes.
+void ExpectRawFeaturesMatchReference(const image::Image& img) {
+  const std::vector<double> fast = SimulatedEmbedder::RawFeatures(img);
+  const std::vector<double> expected = image::reference::RawFeatures(img);
+  ASSERT_EQ(fast.size(), expected.size());
+  ASSERT_EQ(std::memcmp(fast.data(), expected.data(),
+                        fast.size() * sizeof(double)),
+            0);
+}
+
+TEST(SimulatedEmbedderTest, RawFeaturesMatchPerPixelReference) {
+  util::Rng rng(2201);
+  for (int i = 0; i < 600; ++i) {
+    const int w = static_cast<int>(rng.NextInt(1, 80));
+    const int h = static_cast<int>(rng.NextInt(1, 80));
+    const int channels = rng.NextBernoulli(0.5) ? 1 : 3;
+    image::Image img(w, h, channels);
+    for (uint8_t& p : img.mutable_pixels()) {
+      p = static_cast<uint8_t>(rng.NextBounded(256));
+    }
+    SCOPED_TRACE(testing::Message() << "case " << i << ": " << w << "x" << h
+                                    << "x" << channels);
+    ExpectRawFeaturesMatchReference(img);
+  }
+  for (int size : {24, 32, 64}) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      util::Rng face_rng(seed);
+      const image::FaceStyle style =
+          image::MakeFaceStyle(1, 5, false, 0.4, &face_rng);
+      image::RenderOptions options;
+      options.size = size;
+      const image::Image face =
+          image::RenderFace(style, image::SceneStyle(), options, &face_rng);
+      SCOPED_TRACE(testing::Message() << "face " << seed << " at " << size);
+      ExpectRawFeaturesMatchReference(face);
+      ExpectRawFeaturesMatchReference(face.ToGrayscale());
+    }
+  }
 }
 
 }  // namespace

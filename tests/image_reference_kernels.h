@@ -1,12 +1,15 @@
 #ifndef CHAMELEON_TESTS_IMAGE_REFERENCE_KERNELS_H_
 #define CHAMELEON_TESTS_IMAGE_REFERENCE_KERNELS_H_
 
-// Naive reference copies of the image kernels on the guided-query path:
-// a per-pixel clamped Gaussian blur, a disc-stamping dilation and a
-// per-pixel foreground threshold with a vector-stack component search.
-// The production kernels in src/image/ must match these byte for byte;
-// image_test checks that on seeded random inputs and bench_masks times
-// both side by side. Written for clarity, not speed.
+// Naive reference copies of the image kernels on the guided-query path
+// and behind every render and embedding: a per-pixel clamped Gaussian
+// blur, a disc-stamping dilation, a per-pixel foreground threshold with a
+// vector-stack component search, a per-byte Gaussian noise loop and the
+// embedder's per-pixel raw features. The production kernels in
+// src/image/ and src/embedding/ must match these to the last bit (and
+// the noise must leave the rng in the same state); image_test and
+// embedding_test check that on seeded random inputs, and bench_masks and
+// bench_render time both side by side. Written for clarity, not speed.
 
 #include <algorithm>
 #include <cmath>
@@ -16,6 +19,7 @@
 
 #include "src/image/foreground.h"
 #include "src/image/image.h"
+#include "src/util/rng.h"
 
 namespace chameleon::image::reference {
 
@@ -169,6 +173,111 @@ inline Image ExtractForeground(const Image& input,
     }
   }
   return mask;
+}
+
+inline void AddGaussianNoise(Image* image, double stddev, util::Rng* rng) {
+  if (stddev <= 0.0) return;
+  for (uint8_t& p : image->mutable_pixels()) {
+    const double v = p + rng->NextGaussian(0.0, stddev);
+    p = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+  }
+}
+
+// SimulatedEmbedder::RawFeatures: 4x4 luminance grid, quadrant, global
+// and border-band channel means, and gradient energy.
+inline std::vector<double> RawFeatures(const Image& image) {
+  constexpr int kGrid = 4;
+  std::vector<double> features;
+  features.reserve(38);
+
+  // Downsampled luminance grid (area means).
+  const int w = image.width();
+  const int h = image.height();
+  for (int gy = 0; gy < kGrid; ++gy) {
+    const int y0 = gy * h / kGrid;
+    const int y1 = (gy + 1) * h / kGrid;
+    for (int gx = 0; gx < kGrid; ++gx) {
+      const int x0 = gx * w / kGrid;
+      const int x1 = (gx + 1) * w / kGrid;
+      double sum = 0.0;
+      int count = 0;
+      for (int y = y0; y < y1; ++y) {
+        for (int x = x0; x < x1; ++x) {
+          sum += image.Luminance(x, y);
+          ++count;
+        }
+      }
+      features.push_back(count > 0 ? sum / (count * 255.0) : 0.0);
+    }
+  }
+
+  // Per-quadrant channel means: coarse color composition.
+  for (int qy = 0; qy < 2; ++qy) {
+    for (int qx = 0; qx < 2; ++qx) {
+      const int x0 = qx * w / 2;
+      const int x1 = (qx + 1) * w / 2;
+      const int y0 = qy * h / 2;
+      const int y1 = (qy + 1) * h / 2;
+      double sums[3] = {0, 0, 0};
+      int64_t count = 0;
+      for (int y = y0; y < y1; ++y) {
+        for (int x = x0; x < x1; ++x) {
+          for (int c = 0; c < 3; ++c) {
+            sums[c] += image.at(x, y, image.channels() == 3 ? c : 0);
+          }
+          ++count;
+        }
+      }
+      for (double s : sums) {
+        features.push_back(count > 0 ? s / (count * 255.0) : 0.0);
+      }
+    }
+  }
+
+  // Global channel means.
+  double channel_sum[3] = {0, 0, 0};
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      for (int c = 0; c < 3; ++c) {
+        channel_sum[c] += image.at(x, y, image.channels() == 3 ? c : 0);
+      }
+    }
+  }
+  for (double s : channel_sum) {
+    features.push_back(s / (static_cast<double>(w) * h * 255.0));
+  }
+
+  // Border bands (top 10% and bottom 10% rows): the context signature.
+  const int band = std::max(1, h / 10);
+  auto band_means = [&](int y_start, int y_end) {
+    double sums[3] = {0, 0, 0};
+    int64_t count = 0;
+    for (int y = y_start; y < y_end; ++y) {
+      for (int x = 0; x < w; ++x) {
+        for (int c = 0; c < 3; ++c) {
+          sums[c] += image.at(x, y, image.channels() == 3 ? c : 0);
+        }
+        ++count;
+      }
+    }
+    for (double s : sums) {
+      features.push_back(count > 0 ? s / (count * 255.0) : 0.0);
+    }
+  };
+  band_means(0, band);
+  band_means(h - band, h);
+
+  // Gradient energy: texture signature.
+  double grad = 0.0;
+  for (int y = 0; y < h - 1; ++y) {
+    for (int x = 0; x < w - 1; ++x) {
+      grad += std::fabs(image.Luminance(x + 1, y) - image.Luminance(x, y)) +
+              std::fabs(image.Luminance(x, y + 1) - image.Luminance(x, y));
+    }
+  }
+  features.push_back(grad / (static_cast<double>(w) * h * 255.0));
+
+  return features;
 }
 
 }  // namespace chameleon::image::reference

@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -524,6 +526,95 @@ TEST(KernelDifferentialTest, GaussianBlurMatchesClampedPerPixelSum) {
   const Image img = RandomScene(12, 7, 3, &rng);
   EXPECT_EQ(GaussianBlur(img, 0.0), img);
   EXPECT_EQ(GaussianBlur(Image(), 1.0), Image());
+}
+
+// One noise case: the production kernel and the per-byte loop on copies of
+// `input` and of `rng`. The bytes must match, and so must the rng state
+// after: the next NextGaussian (the cached spare, if any) and NextU64.
+void ExpectNoiseMatchesPerByteLoop(const Image& input, double stddev,
+                                   const util::Rng& rng) {
+  Image fast = input;
+  Image expected = input;
+  util::Rng fast_rng = rng;
+  util::Rng reference_rng = rng;
+  AddGaussianNoise(&fast, stddev, &fast_rng);
+  reference::AddGaussianNoise(&expected, stddev, &reference_rng);
+  ASSERT_EQ(fast, expected);
+  const double fast_next = fast_rng.NextGaussian();
+  const double reference_next = reference_rng.NextGaussian();
+  ASSERT_EQ(std::memcmp(&fast_next, &reference_next, sizeof(double)), 0);
+  ASSERT_EQ(fast_rng.NextU64(), reference_rng.NextU64());
+}
+
+TEST(KernelDifferentialTest, AddGaussianNoiseMatchesPerByteLoop) {
+  util::Rng rng(2104);
+  const double sigmas[] = {0.01, 0.5, 2.0, 18.0, 45.0};
+  for (int i = 0; i < 600; ++i) {
+    const int w = RandomSide(&rng);
+    const int h = RandomSide(&rng);
+    const int channels = RandomChannels(&rng);
+    const double sigma = sigmas[i % 5];
+    // Uniform random bytes, a scene, or a flat image (0 and 255 included,
+    // where the clamp decides).
+    Image img;
+    switch (i % 3) {
+      case 0:
+        img = RandomMask(w, h, channels, 1.0, &rng);
+        break;
+      case 1:
+        img = RandomScene(w, h, channels, &rng);
+        break;
+      default: {
+        const uint8_t levels[] = {0, 1, 128, 254, 255};
+        img = Image(w, h, channels, levels[rng.NextBounded(5)]);
+        break;
+      }
+    }
+    util::Rng noise_rng(rng.NextU64());
+    // Every other pair of cases starts with a cached spare.
+    const bool spare = i % 4 >= 2;
+    if (spare) noise_rng.NextGaussian();
+    SCOPED_TRACE(testing::Message()
+                 << "case " << i << ": " << w << "x" << h << "x" << channels
+                 << " sigma " << sigma << " spare " << spare);
+    ExpectNoiseMatchesPerByteLoop(img, sigma, noise_rng);
+  }
+  // Every size of 1 to 5 bytes, at every sigma, with and without a spare.
+  for (int bytes = 1; bytes <= 5; ++bytes) {
+    for (double sigma : sigmas) {
+      for (bool spare : {false, true}) {
+        util::Rng noise_rng(static_cast<uint64_t>(bytes) * 131 + spare);
+        if (spare) noise_rng.NextGaussian();
+        SCOPED_TRACE(testing::Message() << bytes << " bytes, sigma " << sigma
+                                        << " spare " << spare);
+        ExpectNoiseMatchesPerByteLoop(Image(bytes, 1, 1, 77), sigma,
+                                      noise_rng);
+      }
+    }
+  }
+  // No noise and no pixels draw nothing.
+  ExpectNoiseMatchesPerByteLoop(Image(3, 2, 3, 9), 0.0, util::Rng(5));
+  ExpectNoiseMatchesPerByteLoop(Image(), 2.0, util::Rng(5));
+}
+
+// Pixels whose exact value p + sigma * n lands on a byte boundary: sigma is
+// chosen so that sigma * n is +-3 for the first normal n of the stream, or
+// one ulp either side. There the approximate normal alone can pick the
+// neighbouring byte, so these catch a kernel without its exact fallback.
+TEST(KernelDifferentialTest, AddGaussianNoiseExactOnByteBoundaries) {
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    util::Rng probe(seed);
+    const double n = probe.NextGaussian();
+    if (std::fabs(n) < 0.05) continue;
+    const double base = 3.0 / std::fabs(n);
+    for (double sigma : {std::nextafter(base, 0.0), base,
+                         std::nextafter(base, 100.0)}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " sigma "
+                                      << sigma);
+      ExpectNoiseMatchesPerByteLoop(Image(2, 1, 1, 100), sigma,
+                                    util::Rng(seed));
+    }
+  }
 }
 
 }  // namespace
