@@ -123,14 +123,16 @@ int main(int argc, char** argv) {
       const auto& guide_tuple =
           corpus->dataset.tuple(members[rng.NextBounded(members.size())]);
       const image::Image& guide = corpus->images[guide_tuple.payload_id];
+      const image::Image foreground = image::ExtractForeground(guide);
       const image::Image mask =
-          image::GenerateMask(guide, image::MaskLevel::kModerate);
+          image::MaskFromForeground(foreground, image::MaskLevel::kModerate);
 
       fm::GenerationRequest request;
       request.target_values = target;
       request.guide = &guide;
       request.guide_values = &guide_values;
       request.mask = &mask;
+      request.guide_foreground = &foreground;
       auto result = model.Generate(request, &rng);
       if (!result.ok()) continue;
       const core::RejectionOutcome outcome = sampler->Evaluate(

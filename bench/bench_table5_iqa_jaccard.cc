@@ -97,13 +97,15 @@ int main(int argc, char** argv) {
     if (!choice.ok() || !choice->has_guide) continue;
     const auto& guide_tuple = corpus->dataset.tuple(choice->tuple_index);
     const image::Image& guide = corpus->images[guide_tuple.payload_id];
-    const image::Image mask = image::GenerateMask(
-        guide, levels[generated.size() % 3]);
+    const image::Image foreground = image::ExtractForeground(guide);
+    const image::Image mask = image::MaskFromForeground(
+        foreground, levels[generated.size() % 3]);
     fm::GenerationRequest request;
     request.target_values = target;
     request.guide = &guide;
     request.guide_values = &choice->guide_values;
     request.mask = &mask;
+    request.guide_foreground = &foreground;
     auto result = model.Generate(request, &rng);
     if (!result.ok()) continue;
     generated.push_back(std::move(result->image));

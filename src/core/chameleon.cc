@@ -19,14 +19,15 @@ namespace {
 /// serially at submission; generation and label draws come from two
 /// streams forked off the master rng at submission time, so the model's
 /// scheduling of the round's batch cannot change any draw. The request's
-/// guide_values/mask pointers alias `choice`/`mask`, and the round's
-/// BatchItems point at `request`/`gen_rng`, so the struct must stay put
-/// once selected — the submission vector reserves the whole round up
-/// front.
+/// guide_values, mask and guide_foreground pointers alias `choice`,
+/// `mask` and `foreground`, and the round's BatchItems point at
+/// `request`/`gen_rng`, so the struct must stay put once selected — the
+/// submission vector reserves the whole round up front.
 struct PendingGeneration {
   GuideChoice choice;
   fm::GenerationRequest request;
   image::Image mask;
+  image::Image foreground;
   util::Rng gen_rng;
   util::Rng label_rng;
 };
@@ -427,6 +428,7 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
         sub.request.guide = &corpus->images[guide_tuple.payload_id];
         sub.request.guide_values = &sub.choice.guide_values;
         sub.request.mask = &sub.mask;
+        sub.request.guide_foreground = &sub.foreground;
       }
       sub.gen_rng = rng->Fork();
       sub.label_rng = rng->Fork();
@@ -437,7 +439,11 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       for (int64_t i = begin; i < end; ++i) {
         PendingGeneration& sub = submissions[i];
         if (sub.request.guide == nullptr) continue;
-        sub.mask = image::GenerateMask(*sub.request.guide, options_.mask_level);
+        // One segmentation per guide: the mask is derived from it, and the
+        // model reads it through request.guide_foreground.
+        sub.foreground = image::ExtractForeground(*sub.request.guide);
+        sub.mask = image::MaskFromForeground(sub.foreground,
+                                             options_.mask_level);
       }
     };
     if (pool != nullptr) {

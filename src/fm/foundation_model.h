@@ -35,6 +35,10 @@ struct GenerationRequest {
   const std::vector<int>* guide_values = nullptr;
   /// 1-channel mask, 255 = regenerate (required when guide is set).
   const image::Image* mask = nullptr;
+  /// The guide's foreground outline, image::ExtractForeground with default
+  /// options: the segmentation the mask was derived from, so a model need
+  /// not segment the guide again (required when guide is set).
+  const image::Image* guide_foreground = nullptr;
 };
 
 /// A generated tuple. `latent_realism` is the simulator's hidden ground

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string>
 
-#include "src/image/foreground.h"
 #include "src/util/thread_pool.h"
 
 namespace chameleon::fm {
@@ -107,6 +107,10 @@ SimulatedFoundationModel::SimulatedFoundationModel(
   // exploits; combinations jitter mildly around their arm's base.
   const int64_t k = schema_.NumCombinations();
   const int d = schema_.num_attributes();
+  if (d > 0 && k > kMaxDifficultyCells / d) {
+    schema_too_wide_ = true;
+    return;
+  }
   const std::vector<size_t> arm_order = rng.Permutation(d);
   difficulty_.resize(d);
   for (int a = 0; a < d; ++a) {
@@ -132,14 +136,22 @@ double SimulatedFoundationModel::EditDifficulty(
 
 util::Result<GenerationResult> SimulatedFoundationModel::Generate(
     const GenerationRequest& request, util::Rng* rng) {
+  if (schema_too_wide_) {
+    return util::Status::InvalidArgument(
+        "the simulator's edit-difficulty table holds at most " +
+        std::to_string(kMaxDifficultyCells) +
+        " (attribute, combination) cells, and this schema has more");
+  }
   if (!schema_.IsValidCombination(request.target_values)) {
     return util::Status::InvalidArgument(
         "target combination does not match the schema");
   }
   const bool guided = request.guide != nullptr;
-  if (guided && (request.guide_values == nullptr || request.mask == nullptr)) {
+  if (guided && (request.guide_values == nullptr || request.mask == nullptr ||
+                 request.guide_foreground == nullptr)) {
     return util::Status::InvalidArgument(
-        "guided generation needs guide_values and a mask");
+        "guided generation needs guide_values, a mask and the guide's "
+        "foreground");
   }
   RecordQuery();
 
@@ -163,8 +175,7 @@ util::Result<GenerationResult> SimulatedFoundationModel::Generate(
   // --- Guided generation ---
   // Realism: base minus mask-tightness and semantic-edit penalties.
   const double mask_fraction = request.mask->NonZeroFraction();
-  const image::Image guide_fg = image::ExtractForeground(*request.guide);
-  const double fg_fraction = guide_fg.NonZeroFraction();
+  const double fg_fraction = request.guide_foreground->NonZeroFraction();
   const double tightness =
       mask_fraction > 1e-6
           ? std::clamp(fg_fraction / mask_fraction, 0.0, 1.0)

@@ -77,6 +77,11 @@ class SimulatedFoundationModel : public FoundationModel {
     int num_prior_palettes = 6;
   };
 
+  /// Most (attribute, combination) cells the hidden difficulty table may
+  /// hold (8 MB of doubles). A simulator built on a wider schema allocates
+  /// no table and answers every Generate with InvalidArgument.
+  static constexpr int64_t kMaxDifficultyCells = int64_t{1} << 20;
+
   /// `dataset_scene` is the scene style of the corpus being repaired:
   /// used only to seed the first prior palette (the model sometimes
   /// guesses right) — guided generations never consult it.
@@ -101,7 +106,8 @@ class SimulatedFoundationModel : public FoundationModel {
   double query_cost() const override { return options_.query_cost; }
 
   /// Hidden difficulty of editing `attribute` towards `target_values`
-  /// (exposed for tests and for verifying LinUCB's learning).
+  /// (exposed for tests and for verifying LinUCB's learning). Requires a
+  /// schema within kMaxDifficultyCells.
   double EditDifficulty(int attribute,
                         const std::vector<int>& target_values) const;
 
@@ -110,8 +116,10 @@ class SimulatedFoundationModel : public FoundationModel {
   FaceStyleFn face_style_fn_;
   Options options_;
   std::vector<image::SceneStyle> prior_palettes_;
-  /// difficulty_[attribute][combination_index]
+  /// difficulty_[attribute][combination_index]; empty when the schema
+  /// has more than kMaxDifficultyCells cells.
   std::vector<std::vector<double>> difficulty_;
+  bool schema_too_wide_ = false;
 };
 
 }  // namespace chameleon::fm

@@ -65,8 +65,12 @@ class Image {
   std::vector<uint8_t> pixels_;
 };
 
-/// Composites `fg` over `bg` where `mask` (1-channel, same size) is
-/// non-zero: out = mask ? fg : bg. All three must share dimensions.
+/// Composites `fg` over `bg` where `mask` is non-zero: out has `bg`'s
+/// size and channels, and each pixel (x, y) of it is fg's (x, y) where
+/// mask's channel 0 at (x, y) is non-zero, else bg's. `fg` and `mask` are
+/// read at bg's (x, y) and must be at least as large; nothing checks that
+/// they share bg's dimensions. chameleond's simulator composites its 64 px
+/// render onto smaller guides this way (ROADMAP item 1).
 Image CompositeWithMask(const Image& bg, const Image& fg, const Image& mask);
 
 }  // namespace chameleon::image

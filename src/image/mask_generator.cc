@@ -20,22 +20,25 @@ const char* MaskLevelName(MaskLevel level) {
 
 Image GenerateMask(const Image& guide, MaskLevel level,
                    const ForegroundOptions& fg_options) {
-  Image mask = ExtractForeground(guide, fg_options);
+  return MaskFromForeground(ExtractForeground(guide, fg_options), level);
+}
+
+Image MaskFromForeground(const Image& foreground, MaskLevel level) {
   switch (level) {
     case MaskLevel::kAccurate:
-      return mask;
+      return foreground;
     case MaskLevel::kModerate: {
       const int radius = std::max(
-          1, static_cast<int>(kModerateDilationFraction * guide.width()));
-      return DilateDisc(mask, radius);
+          1, static_cast<int>(kModerateDilationFraction * foreground.width()));
+      return DilateDisc(foreground, radius);
     }
     case MaskLevel::kImprecise: {
       int x0;
       int y0;
       int x1;
       int y1;
-      Image box(guide.width(), guide.height(), 1, 0);
-      if (MaskBoundingBox(mask, &x0, &y0, &x1, &y1)) {
+      Image box(foreground.width(), foreground.height(), 1, 0);
+      if (MaskBoundingBox(foreground, &x0, &y0, &x1, &y1)) {
         for (int y = y0; y <= y1; ++y) {
           for (int x = x0; x <= x1; ++x) box.at(x, y, 0) = 255;
         }
@@ -43,7 +46,7 @@ Image GenerateMask(const Image& guide, MaskLevel level,
       return box;
     }
   }
-  return mask;
+  return foreground;
 }
 
 }  // namespace chameleon::image

@@ -27,9 +27,14 @@ const char* MaskLevelName(MaskLevel level);
 inline constexpr double kModerateDilationFraction = 0.10;
 
 /// Produces the regeneration mask (1-channel, 255 = regenerate) for a
-/// guide image at the requested delineation level.
+/// guide image at the requested delineation level:
+/// MaskFromForeground(ExtractForeground(guide, fg_options), level).
 Image GenerateMask(const Image& guide, MaskLevel level,
                    const ForegroundOptions& fg_options = {});
+
+/// The mask at `level` derived from a guide's foreground outline (its
+/// ExtractForeground result), for callers that keep the outline too.
+Image MaskFromForeground(const Image& foreground, MaskLevel level);
 
 }  // namespace chameleon::image
 

@@ -98,6 +98,19 @@ TEST_F(SimulatedFmTest, ValidatesRequests) {
   incomplete.target_values = {0, 1};
   incomplete.guide = &guide;
   EXPECT_FALSE(model_.Generate(incomplete, &rng).ok());
+
+  // A mask without the guide's foreground it was derived from.
+  const image::Image mask =
+      image::GenerateMask(guide, image::MaskLevel::kModerate);
+  incomplete.guide_values = &guide_values;
+  incomplete.mask = &mask;
+  const auto no_foreground = model_.Generate(incomplete, &rng);
+  ASSERT_FALSE(no_foreground.ok());
+  EXPECT_EQ(no_foreground.status().code(),
+            util::StatusCode::kInvalidArgument);
+  const image::Image foreground = image::ExtractForeground(guide);
+  incomplete.guide_foreground = &foreground;
+  EXPECT_TRUE(model_.Generate(incomplete, &rng).ok());
 }
 
 TEST_F(SimulatedFmTest, CountsQueriesAndCost) {
@@ -126,13 +139,15 @@ TEST_F(SimulatedFmTest, GuidedGenerationKeepsUnmaskedPixels) {
   util::Rng rng(4);
   const std::vector<int> guide_values = {0, datasets::kFeretWhite};
   const image::Image guide = MakeGuide(guide_values, &rng);
+  const image::Image foreground = image::ExtractForeground(guide);
   const image::Image mask =
-      image::GenerateMask(guide, image::MaskLevel::kAccurate);
+      image::MaskFromForeground(foreground, image::MaskLevel::kAccurate);
   GenerationRequest request;
   request.target_values = {0, datasets::kFeretBlack};
   request.guide = &guide;
   request.guide_values = &guide_values;
   request.mask = &mask;
+  request.guide_foreground = &foreground;
   auto result = model_.Generate(request, &rng);
   ASSERT_TRUE(result.ok());
   for (int y = 0; y < guide.height(); ++y) {
@@ -154,16 +169,18 @@ TEST_F(SimulatedFmTest, TighterMasksCostRealism) {
   const std::vector<int> guide_values = {0, datasets::kFeretWhite};
   for (int i = 0; i < 60; ++i) {
     const image::Image guide = MakeGuide(guide_values, &rng);
+    const image::Image foreground = image::ExtractForeground(guide);
     GenerationRequest request;
     request.target_values = {0, datasets::kFeretAsian};
     request.guide = &guide;
     request.guide_values = &guide_values;
+    request.guide_foreground = &foreground;
     const image::Image tight =
-        image::GenerateMask(guide, image::MaskLevel::kAccurate);
+        image::MaskFromForeground(foreground, image::MaskLevel::kAccurate);
     request.mask = &tight;
     accurate_realism.Observe(model_.Generate(request, &rng)->latent_realism);
     const image::Image loose =
-        image::GenerateMask(guide, image::MaskLevel::kImprecise);
+        image::MaskFromForeground(foreground, image::MaskLevel::kImprecise);
     request.mask = &loose;
     imprecise_realism.Observe(model_.Generate(request, &rng)->latent_realism);
   }
@@ -178,13 +195,15 @@ TEST_F(SimulatedFmTest, MoreEditsCostMoreRealism) {
   const std::vector<int> far = {1, datasets::kFeretWhite};
   for (int i = 0; i < 60; ++i) {
     const image::Image guide = MakeGuide(same, &rng);
+    const image::Image foreground = image::ExtractForeground(guide);
     const image::Image mask =
-        image::GenerateMask(guide, image::MaskLevel::kModerate);
+        image::MaskFromForeground(foreground, image::MaskLevel::kModerate);
     GenerationRequest request;
     request.target_values = same;
     request.guide = &guide;
     request.guide_values = &same;
     request.mask = &mask;
+    request.guide_foreground = &foreground;
     zero_edit.Observe(model_.Generate(request, &rng)->latent_realism);
 
     GenerationRequest edited = request;
@@ -225,12 +244,14 @@ TEST(SimulatedFmOrdinalTest, OrdinalDistanceAmplifiesCost) {
     render.size = 64;
     const image::Image guide =
         image::RenderFace(style, datasets::UtkFaceScene(), render, &style_rng);
+    const image::Image foreground = image::ExtractForeground(guide);
     const image::Image mask =
-        image::GenerateMask(guide, image::MaskLevel::kModerate);
+        image::MaskFromForeground(foreground, image::MaskLevel::kModerate);
     GenerationRequest request;
     request.target_values = target;
     request.guide = &guide;
     request.mask = &mask;
+    request.guide_foreground = &foreground;
     request.guide_values = &near_guide;
     near_realism.Observe(model.Generate(request, &rng)->latent_realism);
     request.guide_values = &far_guide;
@@ -239,6 +260,29 @@ TEST(SimulatedFmOrdinalTest, OrdinalDistanceAmplifiesCost) {
   EXPECT_GT(near_realism.mean(), far_realism.mean());
 }
 
+
+TEST(SimulatedFmWideSchemaTest, ThirtyByThousandAnswersInvalidArgument) {
+  // 30 attributes of 1000 values: 10^90 combinations, saturated. The
+  // simulator allocates no difficulty table and refuses every query.
+  data::AttributeSchema schema;
+  std::vector<std::string> domain;
+  for (int v = 0; v < 1000; ++v) domain.push_back(std::to_string(v));
+  for (int a = 0; a < 30; ++a) {
+    std::string name = "a";
+    name += std::to_string(a);
+    ASSERT_TRUE(schema.AddAttribute({name, domain, false}).ok());
+  }
+  SimulatedFoundationModel model(schema, datasets::FeretFaceStyleFn(),
+                                 datasets::FeretScene(),
+                                 SimulatedFoundationModel::Options());
+  util::Rng rng(8);
+  GenerationRequest request;
+  request.target_values.assign(30, 1);
+  const auto result = model.Generate(request, &rng);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(model.num_queries(), 0);
+}
 
 TEST(CorpusIoTest, RoundTripsFullCorpus) {
   const auto schema = datasets::FeretSchema();
