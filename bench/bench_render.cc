@@ -1,8 +1,8 @@
-// Cost of the two pixel kernels every simulated query pays
-// (DESIGN.md §2 and §12): AddGaussianNoise, the sensor grain of every
-// RenderFace (sigma 2) and the artifact noise of low-realism renders
-// (sigma 18 at artifact level 1), and SimulatedEmbedder::RawFeatures, the
-// features behind every embedding. Each is timed beside the per-byte or
+// Cost of the two pixel kernels every simulated query pays (DESIGN.md
+// §11, "Render and embedding cost"): AddGaussianNoise, the sensor grain
+// of every RenderFace (sigma 2) and the artifact noise of low-realism
+// renders (sigma 18 at artifact level 1), and
+// SimulatedEmbedder::RawFeatures, the features behind every embedding. Each is timed beside the per-byte or
 // per-pixel reference copy in tests/image_reference_kernels.h, in this
 // process.
 //

@@ -35,10 +35,11 @@ SimulatedEmbedder::SimulatedEmbedder(int dim, uint64_t seed) : dim_(dim) {
 
 std::vector<double> SimulatedEmbedder::RawFeatures(const image::Image& image) {
   // Equal to the per-pixel loops over Image::at and Image::Luminance, to
-  // the last bit (DESIGN.md §12): the luminance plane uses Luminance's
-  // expression, each double sum adds the same terms in the same order,
-  // and the channel sums are integers below 2^53, which int64 and the
-  // old double accumulators both hold exactly.
+  // the last bit (DESIGN.md §11, "Render and embedding cost"): the
+  // luminance plane uses Luminance's expression, each double sum adds the
+  // same terms in the same order, and the channel sums are integers below
+  // 2^53, which int64 and the per-pixel double accumulators both hold
+  // exactly.
   const int w = image.width();
   const int h = image.height();
   const int ch = image.channels();
@@ -97,7 +98,7 @@ std::vector<double> SimulatedEmbedder::RawFeatures(const image::Image& image) {
   }
 
   // Per-quadrant channel means: coarse color composition.
-  int64_t sums[3];
+  int64_t sums[3] = {0, 0, 0};
   for (int qy = 0; qy < 2; ++qy) {
     for (int qx = 0; qx < 2; ++qx) {
       const int y0 = qy * h / 2;

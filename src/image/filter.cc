@@ -121,13 +121,14 @@ void AddGaussianNoise(Image* image, double stddev, util::Rng* rng) {
   if (stddev <= 0.0) return;
   // Byte-identical to the per-byte loop
   //   p = clamp(p + rng->NextGaussian(0.0, stddev), 0, 255)
-  // and leaves rng exactly as it would (DESIGN.md §2). Each pair draws
-  // NextGaussian's uniforms and its exact radius, but reads cos/sin from
-  // ApproxCosSin, so the approximate normal n' is within 1e-13 of the
-  // exact n. The byte is monotone in v = p + stddev * n, so when
-  // v' -/+ margin give the same byte, v gives it too; the margin is 1e-9
-  // times (1 + stddev), far above the error. Otherwise, and for a sine
-  // left as the spare, the exact BoxMullerPair decides.
+  // and leaves rng exactly as it would (DESIGN.md §11, "Render and
+  // embedding cost"). Each pair draws NextGaussian's uniforms and its
+  // exact radius, but reads cos/sin from ApproxCosSin, so the approximate
+  // normal n' is within 1e-13 of the exact n. The byte is monotone in
+  // v = p + stddev * n, so when v' -/+ margin give the same byte, v gives
+  // it too; the margin is 1e-9 times (1 + stddev), far above the error.
+  // Otherwise, and for a sine left as the spare, the exact BoxMullerPair
+  // decides.
   uint8_t* p = image->mutable_pixels().data();
   uint8_t* const end = p + image->mutable_pixels().size();
   double spare = 0.0;
@@ -142,26 +143,22 @@ void AddGaussianNoise(Image* image, double stddev, util::Rng* rng) {
     double u2 = 0.0;
     rng->NextGaussianUniforms(&u1, &u2);
     const double radius = util::BoxMullerRadius(u1);
-    double approx[2];
+    double approx[2] = {0.0, 0.0};
     ApproxCosSin(table, u2, &approx[0], &approx[1]);
-    double exact[2];
-    bool have_exact = false;
     const int count = end - p >= 2 ? 2 : 1;
+    double exact[2] = {0.0, 0.0};
     for (int k = 0; k < count; ++k) {
       const double v = p[k] + stddev * (radius * approx[k]);
       const uint8_t low = NoisyByte(v - margin);
       if (low == NoisyByte(v + margin)) {
         p[k] = low;
-        continue;
-      }
-      if (!have_exact) {
+      } else {
         util::BoxMullerPair(radius, u2, &exact[0], &exact[1]);
-        have_exact = true;
+        p[k] = NoisyByte(p[k] + stddev * exact[k]);
       }
-      p[k] = NoisyByte(p[k] + stddev * exact[k]);
     }
     if (count == 1) {
-      if (!have_exact) util::BoxMullerPair(radius, u2, &exact[0], &exact[1]);
+      util::BoxMullerPair(radius, u2, &exact[0], &exact[1]);
       rng->SetGaussianSpare(exact[1]);
     }
     p += count;

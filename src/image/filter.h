@@ -11,6 +11,8 @@ Image GaussianBlur(const Image& input, double sigma);
 
 /// Adds iid Gaussian pixel noise with the given stddev (clamped to
 /// [0, 255]); the knob the foundation-model simulator uses for artifacts.
+/// Byte-identical to adding rng->NextGaussian(0.0, stddev) to each byte in
+/// turn, and leaves `rng` exactly as that loop would.
 void AddGaussianNoise(Image* image, double stddev, util::Rng* rng);
 
 /// Adds horizontal banding artifacts of the given amplitude every

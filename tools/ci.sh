@@ -202,7 +202,8 @@ run_bench_smoke() {
   local threshold="${BENCH_SMOKE_THRESHOLD:-0.25}"
   local smoke_benches=(bench_micro_greedy bench_micro_linucb
                        bench_micro_ocsvm bench_obs bench_batching
-                       bench_daemon bench_incremental_coverage bench_masks)
+                       bench_daemon bench_incremental_coverage bench_masks
+                       bench_render)
   echo "==== [bench-smoke] configure (Release) ===="
   cmake -B "${dir}" -S . \
     -DCMAKE_BUILD_TYPE=Release \
