@@ -110,9 +110,17 @@ void ApproxCosSin(const AngleTable& table, double u2, double* cosine,
                           table.cos[j] * sin_delta);
 }
 
-// The byte the per-byte loop writes for v = p + stddev * n.
-uint8_t NoisyByte(double v) {
+// The byte of a noisy value v, clamped to [0, 255] and truncated: a
+// non-decreasing function of v.
+uint8_t ClampByte(double v) {
   return static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+}
+
+// The per-byte loop's byte for pixel p and exact normal n. Its noise is
+// rng->NextGaussian(0.0, stddev) = 0.0 + stddev * n, spelled the same
+// way here so that a build contracting multiply-adds treats both alike.
+uint8_t LoopByte(uint8_t p, double stddev, double n) {
+  return ClampByte(p + (0.0 + stddev * n));
 }
 
 }  // namespace
@@ -133,7 +141,7 @@ void AddGaussianNoise(Image* image, double stddev, util::Rng* rng) {
   uint8_t* const end = p + image->mutable_pixels().size();
   double spare = 0.0;
   if (p != end && rng->TakeGaussianSpare(&spare)) {
-    *p = NoisyByte(*p + stddev * spare);
+    *p = LoopByte(*p, stddev, spare);
     ++p;
   }
   const AngleTable& table = Angles();
@@ -149,12 +157,12 @@ void AddGaussianNoise(Image* image, double stddev, util::Rng* rng) {
     double exact[2] = {0.0, 0.0};
     for (int k = 0; k < count; ++k) {
       const double v = p[k] + stddev * (radius * approx[k]);
-      const uint8_t low = NoisyByte(v - margin);
-      if (low == NoisyByte(v + margin)) {
+      const uint8_t low = ClampByte(v - margin);
+      if (low == ClampByte(v + margin)) {
         p[k] = low;
       } else {
         util::BoxMullerPair(radius, u2, &exact[0], &exact[1]);
-        p[k] = NoisyByte(p[k] + stddev * exact[k]);
+        p[k] = LoopByte(p[k], stddev, exact[k]);
       }
     }
     if (count == 1) {

@@ -1,7 +1,5 @@
 #include "src/util/rng.h"
 
-#include <cmath>
-
 namespace chameleon::util {
 namespace {
 
