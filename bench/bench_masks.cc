@@ -23,15 +23,14 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/experiment_common.h"
-#include "src/image/face_renderer.h"
+#include "bench/kernel_gate.h"
 #include "src/image/filter.h"
 #include "src/image/foreground.h"
 #include "src/image/mask_generator.h"
-#include "src/obs/quantile_digest.h"
-#include "src/util/stopwatch.h"
 #include "tests/image_reference_kernels.h"
 
 namespace {
@@ -43,22 +42,6 @@ constexpr int kSize = 64;
 constexpr int kFaces = 16;
 constexpr int kDilateRadius = 6;
 constexpr double kBlurSigma = 0.5;
-
-std::vector<Image> FeretStyleFaces() {
-  chameleon::util::Rng rng(2024);
-  const chameleon::fm::FaceStyleFn style_fn =
-      chameleon::datasets::FeretFaceStyleFn();
-  image::RenderOptions render;
-  render.size = kSize;
-  std::vector<Image> faces;
-  for (int i = 0; i < kFaces; ++i) {
-    const image::FaceStyle style = style_fn({i % 2, (i / 2) % 5}, &rng);
-    const image::SceneStyle scene =
-        image::JitterScene(chameleon::datasets::FeretScene(), 12.0, &rng);
-    faces.push_back(image::RenderFace(style, scene, render, &rng));
-  }
-  return faces;
-}
 
 // The mask levels of GenerateMask, built from the reference kernels.
 Image ReferenceMask(const Image& guide, image::MaskLevel level) {
@@ -89,55 +72,28 @@ Image ReferenceMask(const Image& guide, image::MaskLevel level) {
 
 using Kernel = std::function<Image(const Image&)>;
 
-struct Case {
-  std::string name;
-  Kernel fast;
-  Kernel reference;
-  const std::vector<Image>* inputs;
-  double min_speedup = 0.0;  // 0: only byte identity is gated
-};
-
-struct CaseResult {
-  bool identical = true;
-  double fast_min_ns = 0.0;  // per call, min over repetitions
-  double speedup = 0.0;      // reference median / fast median
-  chameleon::obs::QuantileDigest fast_digest;
-};
-
-// Keeps the timed outputs observable, so no call is optimised away.
-volatile size_t g_sink = 0;
-
-// Nanoseconds per call of `kernel` over all inputs, one repetition.
-double TimeRepetition(const Kernel& kernel, const std::vector<Image>& inputs) {
-  chameleon::util::Stopwatch timer;
-  for (const Image& input : inputs) {
-    g_sink = g_sink + kernel(input).pixels().size();
+// A gate case for `fast` beside `reference` over `inputs`: identical when
+// every output matches byte for byte.
+chameleon::bench::KernelCase MakeCase(std::string name, Kernel fast,
+                                      Kernel reference,
+                                      const std::vector<Image>* inputs,
+                                      double min_speedup = 0.0) {
+  chameleon::bench::KernelCase c;
+  c.name = std::move(name);
+  for (const Image& input : *inputs) {
+    if (!(fast(input) == reference(input))) c.identical = false;
   }
-  return timer.ElapsedSeconds() * 1e9 / static_cast<double>(inputs.size());
-}
-
-CaseResult RunCase(const Case& c, int repetitions) {
-  CaseResult result;
-  for (const Image& input : *c.inputs) {
-    if (!(c.fast(input) == c.reference(input))) result.identical = false;
-  }
-  chameleon::obs::QuantileDigest reference_digest;
-  result.fast_min_ns = 1e300;
-  for (int r = 0; r < repetitions; ++r) {
-    const double fast_ns = TimeRepetition(c.fast, *c.inputs);
-    reference_digest.Add(TimeRepetition(c.reference, *c.inputs));
-    result.fast_digest.Add(fast_ns);
-    result.fast_min_ns = std::min(result.fast_min_ns, fast_ns);
-  }
-  result.speedup = reference_digest.Quantile(0.5) /
-                   result.fast_digest.Quantile(0.5);
-  std::printf("  %-28s %9.0f ns/call (median %9.0f) vs reference %10.0f "
-              "-> %5.1fx  %s\n",
-              c.name.c_str(), result.fast_min_ns,
-              result.fast_digest.Quantile(0.5),
-              reference_digest.Quantile(0.5), result.speedup,
-              result.identical ? "identical" : "MISMATCH");
-  return result;
+  auto run_all = [inputs](Kernel kernel) {
+    return [inputs, kernel] {
+      size_t bytes = 0;
+      for (const Image& input : *inputs) bytes += kernel(input).pixels().size();
+      return bytes;
+    };
+  };
+  c.fast = run_all(std::move(fast));
+  c.reference = run_all(std::move(reference));
+  c.min_speedup = min_speedup;
+  return c;
 }
 
 }  // namespace
@@ -149,13 +105,14 @@ int main(int argc, char** argv) {
   }
   const int repetitions = smoke ? 100 : 400;
 
-  const std::vector<Image> faces = FeretStyleFaces();
+  const std::vector<Image> faces =
+      chameleon::bench::FeretStyleFaces(kSize, kFaces);
   std::vector<Image> outlines;
   for (const Image& face : faces) {
     outlines.push_back(image::ExtractForeground(face));
   }
 
-  std::vector<Case> cases;
+  std::vector<chameleon::bench::KernelCase> cases;
   for (image::MaskLevel level :
        {image::MaskLevel::kAccurate, image::MaskLevel::kModerate,
         image::MaskLevel::kImprecise}) {
@@ -163,79 +120,35 @@ int main(int argc, char** argv) {
     name += level == image::MaskLevel::kAccurate   ? "accurate"
             : level == image::MaskLevel::kModerate ? "moderate"
                                                    : "imprecise";
-    cases.push_back({name,
-                     [level](const Image& in) {
-                       return image::GenerateMask(in, level);
-                     },
-                     [level](const Image& in) {
-                       return ReferenceMask(in, level);
-                     },
-                     &faces});
+    cases.push_back(MakeCase(
+        name, [level](const Image& in) { return image::GenerateMask(in, level); },
+        [level](const Image& in) { return ReferenceMask(in, level); },
+        &faces));
   }
-  cases.push_back({"dilate_disc_r6",
-                   [](const Image& in) {
-                     return image::DilateDisc(in, kDilateRadius);
-                   },
-                   [](const Image& in) {
-                     return image::reference::DilateDisc(in, kDilateRadius);
-                   },
-                   &outlines, 3.0});
-  cases.push_back({"extract_foreground",
-                   [](const Image& in) { return image::ExtractForeground(in); },
-                   [](const Image& in) {
-                     return image::reference::ExtractForeground(in);
-                   },
-                   &faces, 1.5});
-  cases.push_back({"gaussian_blur_s0.5",
-                   [](const Image& in) {
-                     return image::GaussianBlur(in, kBlurSigma);
-                   },
-                   [](const Image& in) {
-                     return image::reference::GaussianBlur(in, kBlurSigma);
-                   },
-                   &faces, 2.0});
+  cases.push_back(MakeCase(
+      "dilate_disc_r6",
+      [](const Image& in) { return image::DilateDisc(in, kDilateRadius); },
+      [](const Image& in) {
+        return image::reference::DilateDisc(in, kDilateRadius);
+      },
+      &outlines, 3.0));
+  cases.push_back(MakeCase(
+      "extract_foreground",
+      [](const Image& in) { return image::ExtractForeground(in); },
+      [](const Image& in) { return image::reference::ExtractForeground(in); },
+      &faces, 1.5));
+  cases.push_back(MakeCase(
+      "gaussian_blur_s0.5",
+      [](const Image& in) { return image::GaussianBlur(in, kBlurSigma); },
+      [](const Image& in) {
+        return image::reference::GaussianBlur(in, kBlurSigma);
+      },
+      &faces, 2.0));
 
   std::printf("bench_masks: %d FERET-style faces at %d px, %d repetitions\n",
               kFaces, kSize, repetitions);
-  std::vector<CaseResult> results;
-  for (const Case& c : cases) results.push_back(RunCase(c, repetitions));
-
-  int exit_code = 0;
-  for (size_t i = 0; i < cases.size(); ++i) {
-    if (!results[i].identical) {
-      std::fprintf(stderr, "FAIL: %s output differs from the reference\n",
-                   cases[i].name.c_str());
-      exit_code = 1;
-    }
-    if (results[i].speedup < cases[i].min_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: %s only %.1fx faster than the reference (gate: "
-                   "%.1fx)\n",
-                   cases[i].name.c_str(), results[i].speedup,
-                   cases[i].min_speedup);
-      exit_code = 1;
-    }
-  }
-
-  const std::string json_path = chameleon::bench::JsonPathFromArgs(argc, argv);
-  if (!json_path.empty()) {
-    chameleon::bench::BenchJsonReport report("bench_masks");
-    report.set_smoke(smoke);
-    report.AddConfig("size", std::to_string(kSize));
-    report.AddConfig("faces", std::to_string(kFaces));
-    report.AddConfig("repetitions", std::to_string(repetitions));
-    for (size_t i = 0; i < cases.size(); ++i) {
-      char speedup[32];
-      std::snprintf(speedup, sizeof(speedup), "%.2f", results[i].speedup);
-      report.AddConfig("speedup_" + cases[i].name, speedup);
-      report.AddCase(cases[i].name, results[i].fast_min_ns, repetitions,
-                     results[i].fast_digest);
-    }
-    const chameleon::util::Status status = report.WriteJson(json_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "bench json: %s\n", status.ToString().c_str());
-      if (exit_code == 0) exit_code = 1;
-    }
-  }
-  return exit_code;
+  return chameleon::bench::RunKernelGate(
+      "bench_masks", cases, kFaces, repetitions, smoke,
+      {{"size", std::to_string(kSize)}, {"faces", std::to_string(kFaces)}},
+      argc, argv);
 }

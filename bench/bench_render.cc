@@ -15,25 +15,23 @@
 // the bytes, and the rng's next NextGaussian and NextU64) and each kernel
 // keeps its in-process speedup floor over the reference (medians over
 // repetitions): noise 1.3x, features 2.5x. The floors sit well under the
-// speedups measured on a 4-vCPU Xeon VM (see CHANGES.md), and unlike
+// 1.5-1.9x and 4.6-5.3x measured on a 4-vCPU Xeon VM, and unlike
 // absolute ns they hold when the host slows.
 //
 // Flags: --json=<path> (schema-v1 report of the fast kernels' ns/call),
 // --smoke (fewer repetitions).
 
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/experiment_common.h"
+#include "bench/kernel_gate.h"
 #include "src/embedding/simulated_embedder.h"
-#include "src/image/face_renderer.h"
 #include "src/image/filter.h"
-#include "src/obs/quantile_digest.h"
 #include "src/util/rng.h"
-#include "src/util/stopwatch.h"
 #include "tests/image_reference_kernels.h"
 
 namespace {
@@ -44,22 +42,6 @@ using image::Image;
 
 constexpr int kSize = 64;
 constexpr int kFaces = 16;
-
-std::vector<Image> FeretStyleFaces() {
-  Rng rng(2024);
-  const chameleon::fm::FaceStyleFn style_fn =
-      chameleon::datasets::FeretFaceStyleFn();
-  image::RenderOptions render;
-  render.size = kSize;
-  std::vector<Image> faces;
-  for (int i = 0; i < kFaces; ++i) {
-    const image::FaceStyle style = style_fn({i % 2, (i / 2) % 5}, &rng);
-    const image::SceneStyle scene =
-        image::JitterScene(chameleon::datasets::FeretScene(), 12.0, &rng);
-    faces.push_back(image::RenderFace(style, scene, render, &rng));
-  }
-  return faces;
-}
 
 // A kernel's whole observable output as bytes, so one comparison covers
 // both kernels: the noised image plus the rng's next two draws, or the
@@ -93,58 +75,34 @@ Kernel Features(FeaturesFn features) {
   };
 }
 
-struct Case {
-  std::string name;
-  Kernel fast;
-  Kernel reference;
-  double min_speedup = 0.0;
-};
-
-struct CaseResult {
-  bool identical = true;
-  double fast_min_ns = 0.0;  // per call, min over repetitions
-  double speedup = 0.0;      // reference median / fast median
-  chameleon::obs::QuantileDigest fast_digest;
-};
-
-// Keeps the timed outputs observable, so no call is optimised away.
-volatile size_t g_sink = 0;
-
-// Nanoseconds per call of `kernel` over all inputs, one repetition.
-double TimeRepetition(const Kernel& kernel, const std::vector<Image>& inputs,
-                      const std::vector<Rng>& rngs) {
-  chameleon::util::Stopwatch timer;
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    g_sink = g_sink + kernel(inputs[i], rngs[i]).size();
-  }
-  return timer.ElapsedSeconds() * 1e9 / static_cast<double>(inputs.size());
-}
-
-CaseResult RunCase(const Case& c, const std::vector<Image>& inputs,
-                   const std::vector<Rng>& rngs, int repetitions) {
-  CaseResult result;
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    if (c.fast(inputs[i], rngs[i]) != c.reference(inputs[i], rngs[i])) {
-      result.identical = false;
+// A gate case for `fast` beside `reference` over the faces, each with
+// its own rng: identical when every output matches bit for bit.
+chameleon::bench::KernelCase MakeCase(std::string name, Kernel fast,
+                                      Kernel reference,
+                                      const std::vector<Image>* inputs,
+                                      const std::vector<Rng>* rngs,
+                                      double min_speedup) {
+  chameleon::bench::KernelCase c;
+  c.name = std::move(name);
+  for (size_t i = 0; i < inputs->size(); ++i) {
+    if (fast((*inputs)[i], (*rngs)[i]) !=
+        reference((*inputs)[i], (*rngs)[i])) {
+      c.identical = false;
     }
   }
-  chameleon::obs::QuantileDigest reference_digest;
-  result.fast_min_ns = 1e300;
-  for (int r = 0; r < repetitions; ++r) {
-    const double fast_ns = TimeRepetition(c.fast, inputs, rngs);
-    reference_digest.Add(TimeRepetition(c.reference, inputs, rngs));
-    result.fast_digest.Add(fast_ns);
-    result.fast_min_ns = std::min(result.fast_min_ns, fast_ns);
-  }
-  result.speedup = reference_digest.Quantile(0.5) /
-                   result.fast_digest.Quantile(0.5);
-  std::printf("  %-22s %9.0f ns/call (median %9.0f) vs reference %10.0f "
-              "-> %5.1fx  %s\n",
-              c.name.c_str(), result.fast_min_ns,
-              result.fast_digest.Quantile(0.5),
-              reference_digest.Quantile(0.5), result.speedup,
-              result.identical ? "identical" : "MISMATCH");
-  return result;
+  auto run_all = [inputs, rngs](Kernel kernel) {
+    return [inputs, rngs, kernel] {
+      size_t bytes = 0;
+      for (size_t i = 0; i < inputs->size(); ++i) {
+        bytes += kernel((*inputs)[i], (*rngs)[i]).size();
+      }
+      return bytes;
+    };
+  };
+  c.fast = run_all(std::move(fast));
+  c.reference = run_all(std::move(reference));
+  c.min_speedup = min_speedup;
+  return c;
 }
 
 }  // namespace
@@ -156,7 +114,8 @@ int main(int argc, char** argv) {
   }
   const int repetitions = smoke ? 40 : 200;
 
-  const std::vector<Image> faces = FeretStyleFaces();
+  const std::vector<Image> faces =
+      chameleon::bench::FeretStyleFaces(kSize, kFaces);
   // One stream per face; every odd one starts with a cached spare.
   std::vector<Rng> rngs;
   for (int i = 0; i < kFaces; ++i) {
@@ -165,59 +124,22 @@ int main(int argc, char** argv) {
     rngs.push_back(rng);
   }
 
-  const std::vector<Case> cases = {
-      {"add_gaussian_noise_s2", Noise(image::AddGaussianNoise, 2.0),
-       Noise(image::reference::AddGaussianNoise, 2.0), 1.3},
-      {"add_gaussian_noise_s18", Noise(image::AddGaussianNoise, 18.0),
-       Noise(image::reference::AddGaussianNoise, 18.0), 1.3},
-      {"raw_features",
-       Features(chameleon::embedding::SimulatedEmbedder::RawFeatures),
-       Features(image::reference::RawFeatures), 2.5},
+  const std::vector<chameleon::bench::KernelCase> cases = {
+      MakeCase("add_gaussian_noise_s2", Noise(image::AddGaussianNoise, 2.0),
+               Noise(image::reference::AddGaussianNoise, 2.0), &faces, &rngs,
+               1.3),
+      MakeCase("add_gaussian_noise_s18", Noise(image::AddGaussianNoise, 18.0),
+               Noise(image::reference::AddGaussianNoise, 18.0), &faces,
+               &rngs, 1.3),
+      MakeCase("raw_features",
+               Features(chameleon::embedding::SimulatedEmbedder::RawFeatures),
+               Features(image::reference::RawFeatures), &faces, &rngs, 2.5),
   };
 
   std::printf("bench_render: %d FERET-style faces at %d px, %d repetitions\n",
               kFaces, kSize, repetitions);
-  std::vector<CaseResult> results;
-  for (const Case& c : cases) {
-    results.push_back(RunCase(c, faces, rngs, repetitions));
-  }
-
-  int exit_code = 0;
-  for (size_t i = 0; i < cases.size(); ++i) {
-    if (!results[i].identical) {
-      std::fprintf(stderr, "FAIL: %s output differs from the reference\n",
-                   cases[i].name.c_str());
-      exit_code = 1;
-    }
-    if (results[i].speedup < cases[i].min_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: %s only %.1fx faster than the reference (gate: "
-                   "%.1fx)\n",
-                   cases[i].name.c_str(), results[i].speedup,
-                   cases[i].min_speedup);
-      exit_code = 1;
-    }
-  }
-
-  const std::string json_path = chameleon::bench::JsonPathFromArgs(argc, argv);
-  if (!json_path.empty()) {
-    chameleon::bench::BenchJsonReport report("bench_render");
-    report.set_smoke(smoke);
-    report.AddConfig("size", std::to_string(kSize));
-    report.AddConfig("faces", std::to_string(kFaces));
-    report.AddConfig("repetitions", std::to_string(repetitions));
-    for (size_t i = 0; i < cases.size(); ++i) {
-      char speedup[32];
-      std::snprintf(speedup, sizeof(speedup), "%.2f", results[i].speedup);
-      report.AddConfig("speedup_" + cases[i].name, speedup);
-      report.AddCase(cases[i].name, results[i].fast_min_ns, repetitions,
-                     results[i].fast_digest);
-    }
-    const chameleon::util::Status status = report.WriteJson(json_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "bench json: %s\n", status.ToString().c_str());
-      if (exit_code == 0) exit_code = 1;
-    }
-  }
-  return exit_code;
+  return chameleon::bench::RunKernelGate(
+      "bench_render", cases, kFaces, repetitions, smoke,
+      {{"size", std::to_string(kSize)}, {"faces", std::to_string(kFaces)}},
+      argc, argv);
 }
