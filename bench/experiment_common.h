@@ -18,6 +18,7 @@
 #include "src/nn/metrics.h"
 #include "src/nn/mlp.h"
 #include "src/nn/trainer.h"
+#include "src/obs/journal.h"
 #include "src/obs/quantile_digest.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -48,24 +49,6 @@ struct BenchCase {
   double p90_ns = 0.0;
   double p99_ns = 0.0;
 };
-
-inline std::string BenchJsonEscape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 inline std::string BenchJsonNumber(double value) {
   char buffer[64];
@@ -115,10 +98,10 @@ class BenchJsonReport {
     out += "  \"schema_version\": " +
            std::to_string(kBenchJsonSchemaVersion) + ",\n";
     out += "  \"name\": \"";
-    out += BenchJsonEscape(name_);
+    out += obs::JsonEscape(name_);
     out += "\",\n  \"git_sha\": \"";
-    out += BenchJsonEscape(sha != nullptr && sha[0] != '\0' ? sha
-                                                            : "unknown");
+    out += obs::JsonEscape(sha != nullptr && sha[0] != '\0' ? sha
+                                                          : "unknown");
     out += "\",\n";
     out += std::string("  \"build_type\": \"") + build_type + "\",\n";
     out += std::string("  \"smoke\": ") + (smoke_ ? "true" : "false") +
@@ -127,9 +110,9 @@ class BenchJsonReport {
     for (size_t i = 0; i < config_.size(); ++i) {
       if (i > 0) out += ", ";
       out += '"';
-      out += BenchJsonEscape(config_[i].first);
+      out += obs::JsonEscape(config_[i].first);
       out += "\": \"";
-      out += BenchJsonEscape(config_[i].second);
+      out += obs::JsonEscape(config_[i].second);
       out += '"';
     }
     out += "},\n";
@@ -137,7 +120,7 @@ class BenchJsonReport {
     for (size_t i = 0; i < cases_.size(); ++i) {
       const BenchCase& c = cases_[i];
       out += "    {\"name\": \"";
-      out += BenchJsonEscape(c.name);
+      out += obs::JsonEscape(c.name);
       out += "\", \"ns_per_op\": " + BenchJsonNumber(c.ns_per_op);
       out += ", \"iterations\": " + std::to_string(c.iterations);
       out += ", \"p50_ns\": " + BenchJsonNumber(c.p50_ns);

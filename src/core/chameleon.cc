@@ -38,7 +38,6 @@ struct PendingCandidate {
   GuideChoice choice;
   image::Image image;
   double latent_realism = 0.0;
-  int backend = -1;
   std::vector<int> quality_labels;
   // Filled by the (possibly parallel) evaluation stage.
   std::vector<double> embedding;
@@ -502,7 +501,6 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       candidate.choice = std::move(sub.choice);
       candidate.image = std::move(generation.image);
       candidate.latent_realism = generation.latent_realism;
-      candidate.backend = generation.backend;
       candidate.quality_labels = sampler.DrawQualityLabels(
           candidate.latent_realism, &sub.label_rng);
       candidates.push_back(std::move(candidate));
@@ -530,10 +528,6 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
       report->distribution_passes += c.outcome.distribution_pass;
       report->quality_passes += c.outcome.quality_pass;
       selector->ReportReward(target, c.choice, c.outcome.Passed());
-      // Routing feedback, strictly in submission order: a learning
-      // router (BackendPool + LinUCB) must see the same update sequence
-      // at every thread count.
-      model_->ReportOutcome(c.backend, c.outcome.Passed());
       instruments.Verdict(c.outcome, c.choice.arm);
 
       GenerationRecord record;
@@ -570,8 +564,6 @@ util::Result<RepairReport> Chameleon::RepairMinLevelMups(fm::Corpus* corpus) {
   RepairReport report;
   util::Rng rng(options_.seed);
   const data::AttributeSchema& schema = corpus->dataset.schema();
-  model_->OnRunStart();
-  model_->set_backend_router(options_.backend_router);
   model_->set_deadline(options_.deadline);
   model_->set_observability(options_.observability);
   RunInstruments instruments(options_.observability, options_.tau,

@@ -65,9 +65,7 @@ struct ChameleonOptions {
   /// different round sizes may diverge; runs with different num_threads
   /// never do.
   int rejection_batch = 1;
-  /// Router policy for multi-backend models (fm::BackendPool); forwarded
-  /// to the model at the start of every run. Single-backend models
-  /// ignore it.
+  /// Has no effect; kept while perfbench names it (ROADMAP items 1, 5).
   fm::BackendRouterKind backend_router = fm::BackendRouterKind::kGreedyCost;
   /// Optional observability sink (metrics, spans, run journal) — see
   /// DESIGN.md §9. Not owned; null (the default) disables instrumentation

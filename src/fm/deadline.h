@@ -10,9 +10,7 @@ namespace chameleon::fm {
 /// ResilientFoundationModel charges every attempt and backoff to the
 /// attached Deadline (AdvanceMs) and fails fast with kDeadlineExceeded
 /// once it expires or is cancelled; the repair pipeline checks ShouldStop
-/// between rounds and parks the remaining plan entries. Unlike
-/// ResilienceOptions::run_deadline_ms — which lives on the decorator and
-/// is therefore shared by every run the decorator serves — a Deadline is
+/// between rounds and parks the remaining plan entries. A Deadline is
 /// owned by one request, so one request's retry storm can never burn an
 /// unrelated request's budget.
 ///

@@ -64,18 +64,8 @@ class FlakyFoundationModel : public FoundationModel {
       const GenerationRequest& request, util::Rng* rng) override;
 
   double query_cost() const override { return wrapped_->query_cost(); }
-  void OnRunStart() override { wrapped_->OnRunStart(); }
   void set_observability(obs::Observability* observability) override {
     wrapped_->set_observability(observability);
-  }
-
-  /// Routing hooks pass straight through (see ResilientFoundationModel):
-  /// fault injection sits above the pool, never between it and feedback.
-  void ReportOutcome(int backend, bool accepted) override {
-    wrapped_->ReportOutcome(backend, accepted);
-  }
-  void set_backend_router(BackendRouterKind kind) override {
-    wrapped_->set_backend_router(kind);
   }
 
   const FlakyCounters& counters() const { return counters_; }

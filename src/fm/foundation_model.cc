@@ -2,16 +2,6 @@
 
 namespace chameleon::fm {
 
-const char* BackendRouterKindName(BackendRouterKind kind) {
-  switch (kind) {
-    case BackendRouterKind::kGreedyCost:
-      return "greedy";
-    case BackendRouterKind::kLinUcb:
-      return "linucb";
-  }
-  return "unknown";
-}
-
 std::vector<util::Result<GenerationResult>> FoundationModel::GenerateBatch(
     std::span<const BatchItem> items) {
   std::vector<util::Result<GenerationResult>> results;

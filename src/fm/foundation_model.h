@@ -48,10 +48,6 @@ struct GenerationResult {
   image::Image image;
   std::vector<int> values;
   double latent_realism = 1.0;
-  /// Pool backend that served the query (index into the pool), or -1 for
-  /// single-backend models. Feed it back via ReportOutcome so a learning
-  /// router can credit the right arm.
-  int backend = -1;
 };
 
 /// One slot of a batched dispatch: the request plus the private rng
@@ -74,17 +70,8 @@ inline bool IsTransportError(util::StatusCode code) {
          code == util::StatusCode::kResourceExhausted;
 }
 
-/// How a multi-backend pool picks the backend for each request.
-enum class BackendRouterKind {
-  /// Cheapest expected cost per accepted tuple (query_cost divided by the
-  /// profile's expected acceptance), ties to the lowest index. Stateless.
-  kGreedyCost,
-  /// The in-tree LinUCB bandit over backends: learns per-backend
-  /// acceptance online from ReportOutcome feedback, minus a cost penalty.
-  kLinUcb,
-};
-
-const char* BackendRouterKindName(BackendRouterKind kind);
+/// Has no effect; kept while perfbench names it (ROADMAP items 1, 5).
+enum class BackendRouterKind { kGreedyCost };
 
 /// Counters describing what a resilience layer absorbed. All time figures
 /// are *virtual* milliseconds (the library never reads a wall clock on
@@ -124,31 +111,22 @@ class FoundationModel {
   /// The default loops over Generate in slot order, so decorators
   /// (Flaky/Resilient) compose with batching unchanged: each slot sees
   /// the same fault schedule and retry behaviour it would see as a lone
-  /// Generate call. Overrides (e.g. BackendPool) must preserve slot order
-  /// and call each item's Generate-equivalent exactly once. An override
-  /// whose slots are independent may run them on the caller's
-  /// util::ThreadPool::Current() (SimulatedFoundationModel does); one
-  /// whose behaviour depends on call order must not.
+  /// Generate call. Overrides must preserve slot order and call each
+  /// item's Generate-equivalent exactly once. An override whose slots are
+  /// independent may run them on the caller's util::ThreadPool::Current()
+  /// (SimulatedFoundationModel does); one whose behaviour depends on call
+  /// order must not.
   [[nodiscard]] virtual std::vector<util::Result<GenerationResult>>
   GenerateBatch(std::span<const BatchItem> items);
 
   /// Fixed cost v per query (monetary for hosted models).
   virtual double query_cost() const = 0;
 
-  /// Acceptance feedback for a served query, delivered by the pipeline on
-  /// its serial merge path (in submission order). `backend` is the id the
-  /// model stamped into GenerationResult::backend; models that route
-  /// (BackendPool) train their router here, everything else ignores it.
+  /// Has no effect; kept while perfbench names it (ROADMAP items 1, 5).
   virtual void ReportOutcome(int /*backend*/, bool /*accepted*/) {}
-
-  /// Selects the routing policy for multi-backend models; single-backend
-  /// models ignore it. The pipeline forwards ChameleonOptions::
-  /// backend_router here at the start of each run.
+  /// Has no effect; kept while perfbench names it (ROADMAP items 1, 5).
   virtual void set_backend_router(BackendRouterKind /*kind*/) {}
-
-  /// Called by the pipeline at the start of each repair run. Resilience
-  /// decorators reset per-run state (e.g. the virtual run deadline) here;
-  /// plain backends ignore it.
+  /// Has no effect; kept while perfbench names it (ROADMAP items 1, 5).
   virtual void OnRunStart() {}
 
   /// Fault-telemetry snapshot, or nullptr for models with no resilience

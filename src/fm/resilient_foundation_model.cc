@@ -40,15 +40,8 @@ ResilientFoundationModel::ResilientFoundationModel(
     FoundationModel* wrapped, const ResilienceOptions& options)
     : wrapped_(wrapped), options_(options), jitter_rng_(options.seed) {}
 
-void ResilientFoundationModel::OnRunStart() {
-  clock_ms_ = 0.0;
-  wrapped_->OnRunStart();
-}
-
 void ResilientFoundationModel::AdvanceClock(double ms) {
   if (observability_ != nullptr) observability_->clock.AdvanceMs(ms);
-  // Charge the per-request budget in lockstep with the run clock: the
-  // attached Deadline sees exactly the virtual time this request spent.
   if (deadline_ != nullptr) deadline_->AdvanceMs(ms);
 }
 
@@ -96,14 +89,6 @@ util::Result<GenerationResult> ResilientFoundationModel::Generate(
                      std::to_string(deadline_->budget_ms()) + " ms)");
   }
 
-  if (options_.run_deadline_ms > 0.0 &&
-      clock_ms_ >= options_.run_deadline_ms) {
-    ++telemetry_.failed_queries;
-    return util::Status::DeadlineExceeded(
-        "per-run deadline exhausted (virtual clock at " +
-        std::to_string(clock_ms_) + " ms)");
-  }
-
   if (state_ == BreakerState::kOpen) {
     if (rejections_since_open_ >= options_.breaker_probe_interval) {
       state_ = BreakerState::kHalfOpen;  // this query is the probe
@@ -149,7 +134,6 @@ util::Result<GenerationResult> ResilientFoundationModel::Generate(
       backoff = std::min(backoff, options_.backoff_max_ms);
       backoff *= 1.0 + options_.jitter_fraction *
                            (2.0 * jitter_rng_.NextDouble() - 1.0);
-      clock_ms_ += backoff;
       AdvanceClock(backoff);
       telemetry_.backoff_ms += backoff;
       ++telemetry_.retries;
@@ -158,13 +142,6 @@ util::Result<GenerationResult> ResilientFoundationModel::Generate(
         observability_->journal.Record(obs::JournalEvent("fm.retry")
                                            .Set("attempt", attempt)
                                            .Set("backoff_ms", backoff));
-      }
-      if (options_.run_deadline_ms > 0.0 &&
-          clock_ms_ >= options_.run_deadline_ms) {
-        ++telemetry_.failed_queries;
-        return util::Status::DeadlineExceeded(
-            "per-run deadline exhausted while backing off; last failure: " +
-            last_failure.ToString());
       }
       if (deadline_ != nullptr && deadline_->ShouldStop()) {
         ++telemetry_.failed_queries;
@@ -178,7 +155,6 @@ util::Result<GenerationResult> ResilientFoundationModel::Generate(
       }
     }
     ++telemetry_.attempts;
-    clock_ms_ += options_.attempt_cost_ms;
     AdvanceClock(options_.attempt_cost_ms);
 
     auto result = wrapped_->Generate(request, rng);

@@ -36,12 +36,9 @@ struct ResilienceOptions {
   double backoff_max_ms = 2000.0;
   double jitter_fraction = 0.25;
 
-  /// Virtual cost of one backend attempt, charged to the run clock.
+  /// Virtual cost of one backend attempt, charged to the attached
+  /// Deadline and the observability clock.
   double attempt_cost_ms = 10.0;
-  /// Per-run deadline on the virtual clock; 0 = unlimited. Once the run
-  /// clock passes this, queries fail fast with kDeadlineExceeded until
-  /// OnRunStart resets the clock.
-  double run_deadline_ms = 0.0;
 
   /// Breaker trips open after this many *consecutive* failed attempts.
   int breaker_failure_threshold = 5;
@@ -53,8 +50,8 @@ struct ResilienceOptions {
 /// Resilience decorator: retry with capped exponential backoff and
 /// deterministic jitter, error classification (transport errors and
 /// malformed responses are retryable; everything else is terminal), a
-/// per-run virtual deadline, and a closed -> open -> half-open circuit
-/// breaker. Wraps any FoundationModel.
+/// per-request virtual deadline (fm::Deadline), and a closed -> open ->
+/// half-open circuit breaker. Wraps any FoundationModel.
 ///
 /// Determinism contract: the wrapper checkpoints the pipeline rng before
 /// the first attempt and restores it before every retry, so the attempt
@@ -76,21 +73,16 @@ class ResilientFoundationModel : public FoundationModel {
 
   double query_cost() const override { return wrapped_->query_cost(); }
 
-  /// Resets the per-run virtual clock (the breaker and the cumulative
-  /// telemetry deliberately survive across runs: a dead backend stays
-  /// dead between rounds).
-  void OnRunStart() override;
-
+  /// Cumulative over the decorator's lifetime; the breaker state survives
+  /// across runs too (a dead backend stays dead between rounds).
   const FaultTelemetry* fault_telemetry() const override {
     return &telemetry_;
   }
 
   BreakerState breaker_state() const { return state_; }
-  /// Virtual milliseconds elapsed in the current run.
-  double run_clock_ms() const { return clock_ms_; }
 
   /// Attaches an observability sink (not owned; null detaches). When set,
-  /// every clock_ms_ advance is mirrored into the shared VirtualClock's
+  /// every attempt and backoff is mirrored into the shared VirtualClock's
   /// millisecond axis (so spans correlate with retry storms), retries feed
   /// the `fm.retries` counter, and each retry/breaker transition is
   /// journaled. All of it is driven from the serial Generate path, so the
@@ -101,25 +93,13 @@ class ResilientFoundationModel : public FoundationModel {
   }
 
   /// Attaches a per-request deadline/cancellation context (not owned;
-  /// null detaches). Every clock_ms_ advance — attempt cost and backoff
-  /// alike — is charged to it, and Generate fails fast with
-  /// kDeadlineExceeded once it expires or is cancelled. This is the
-  /// per-request generalization of ResilienceOptions::run_deadline_ms:
-  /// the serving layer gives each request its own decorator *and* its
-  /// own Deadline, so no request can burn another's budget.
+  /// null detaches). Every attempt and backoff is charged to it, and
+  /// Generate fails fast with kDeadlineExceeded once it expires or is
+  /// cancelled. The serving layer gives each request its own decorator
+  /// *and* its own Deadline, so no request can burn another's budget.
   void set_deadline(Deadline* deadline) override {
     deadline_ = deadline;
     wrapped_->set_deadline(deadline);
-  }
-
-  /// Routing hooks pass straight through: a BackendPool may sit at the
-  /// bottom of the decorator stack, and outcome feedback / policy
-  /// selection must reach it.
-  void ReportOutcome(int backend, bool accepted) override {
-    wrapped_->ReportOutcome(backend, accepted);
-  }
-  void set_backend_router(BackendRouterKind kind) override {
-    wrapped_->set_backend_router(kind);
   }
 
  private:
@@ -127,8 +107,8 @@ class ResilientFoundationModel : public FoundationModel {
   /// the consecutive-failure count and trips the breaker at threshold.
   void OnAttemptFailure();
 
-  /// Mirrors a clock_ms_ advance into the attached observability clock
-  /// (no-op when detached).
+  /// Charges `ms` virtual milliseconds to the attached observability
+  /// clock and Deadline (each a no-op when detached).
   void AdvanceClock(double ms);
 
   FoundationModel* wrapped_;
@@ -141,7 +121,6 @@ class ResilientFoundationModel : public FoundationModel {
   BreakerState state_ = BreakerState::kClosed;
   int consecutive_failures_ = 0;
   int rejections_since_open_ = 0;
-  double clock_ms_ = 0.0;
 };
 
 }  // namespace chameleon::fm

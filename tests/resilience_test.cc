@@ -200,8 +200,9 @@ TEST(ResilientModelTest, RunDeadlineFailsFastUntilNextRun) {
   ScriptedModel backend({});
   ResilienceOptions options;
   options.attempt_cost_ms = 10.0;
-  options.run_deadline_ms = 25.0;
   ResilientFoundationModel model(&backend, options);
+  Deadline first_run(25.0);
+  model.set_deadline(&first_run);
   util::Rng rng(7);
   EXPECT_TRUE(model.Generate(SimpleRequest(), &rng).ok());  // clock 10
   EXPECT_TRUE(model.Generate(SimpleRequest(), &rng).ok());  // clock 20
@@ -209,10 +210,12 @@ TEST(ResilientModelTest, RunDeadlineFailsFastUntilNextRun) {
   auto over = model.Generate(SimpleRequest(), &rng);
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.status().code(), util::StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(backend.num_queries(), 3);  // failed fast, backend untouched
 
-  model.OnRunStart();  // fresh run, fresh deadline
-  EXPECT_EQ(model.run_clock_ms(), 0.0);
+  Deadline next_run(25.0);  // fresh run, fresh deadline
+  model.set_deadline(&next_run);
   EXPECT_TRUE(model.Generate(SimpleRequest(), &rng).ok());
+  EXPECT_EQ(next_run.ElapsedMs(), 10.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@
 //                        [--strategy=linucb|similar|random|noguide]
 //                        [--mask=accurate|moderate|imprecise]
 //                        [--alpha=0.1] [--nu=0.3] [--seed=S] [--out=DIR]
-//                        [--rejection-batch=N] [--backends=N]
-//                        [--router=greedy|linucb]
+//                        [--rejection-batch=N]
 //                        [--metrics] [--metrics-out=F] [--trace-out=F]
 //                        [--journal-out=F] [--openmetrics-out=F]
 //                        [--trace-json-out=F]
@@ -18,6 +17,10 @@
 // `repair` runs the full pipeline against the simulated foundation model
 // and optionally saves the repaired corpus (CSV + PNM) to --out.
 //
+// Numeric flags are parsed whole: a malformed or out-of-range value (for
+// example --tau=abc, --tau=0 or --rejection-batch=0) exits 2 with a
+// message instead of running with a silently substituted number.
+//
 // Observability (DESIGN.md §9): any of --metrics / --metrics-out= /
 // --trace-out= / --journal-out= attaches an obs::Observability sink to
 // the repair run. --metrics prints the registry as a table; the *-out
@@ -25,10 +28,14 @@
 // Instrumentation never changes which tuples are accepted.
 
 #include <atomic>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -39,7 +46,6 @@
 #include "src/datasets/feret.h"
 #include "src/datasets/utkface.h"
 #include "src/embedding/simulated_embedder.h"
-#include "src/fm/backend_pool.h"
 #include "src/fm/corpus_io.h"
 #include "src/fm/deadline.h"
 #include "src/fm/evaluator_pool.h"
@@ -89,13 +95,49 @@ class Flags {
   bool Has(const std::string& key) const {
     return values_.find(key) != values_.end();
   }
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
+  /// Reads --key as a whole base-10 integer in [min, max], or `fallback`
+  /// when the flag is absent. Anything else prints why and returns false.
+  bool GetInt(const std::string& key, int64_t fallback, int64_t* out,
+              int64_t min = std::numeric_limits<int64_t>::min(),
+              int64_t max = std::numeric_limits<int64_t>::max()) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+    if (it == values_.end()) {
+      *out = fallback;
+      return true;
+    }
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text, &end, 10);
+    if (end != text && *end == '\0' && errno == 0 && value >= min &&
+        value <= max) {
+      *out = value;
+      return true;
+    }
+    std::fprintf(stderr, "--%s=%s: expected an integer in [%lld, %lld]\n",
+                 key.c_str(), text, static_cast<long long>(min),
+                 static_cast<long long>(max));
+    return false;
   }
-  double GetDouble(const std::string& key, double fallback) const {
+  /// Reads --key as a whole finite number, or `fallback` when the flag is
+  /// absent. Anything else prints why and returns false.
+  bool GetDouble(const std::string& key, double fallback, double* out) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) {
+      *out = fallback;
+      return true;
+    }
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &end);
+    if (end != text && *end == '\0' && errno == 0 && std::isfinite(value)) {
+      *out = value;
+      return true;
+    }
+    std::fprintf(stderr, "--%s=%s: expected a finite number\n", key.c_str(),
+                 text);
+    return false;
   }
 
  private:
@@ -108,8 +150,15 @@ struct LoadedCorpus {
   image::SceneStyle scene;
 };
 
-bool LoadDataset(const Flags& flags, const embedding::SimulatedEmbedder& embedder,
-                 bool with_images, LoadedCorpus* out) {
+/// Reads --tau (default 100); a coverage threshold must be positive.
+bool GetTau(const Flags& flags, int64_t* tau) {
+  return flags.GetInt("tau", 100, tau, /*min=*/1);
+}
+
+/// Builds the --dataset corpus. Returns the process exit code on failure
+/// (2 for a malformed flag, 1 for a failed build) and 0 on success.
+int LoadDataset(const Flags& flags, const embedding::SimulatedEmbedder& embedder,
+                bool with_images, LoadedCorpus* out) {
   const std::string name = flags.Get("dataset", "feret");
   if (name == "feret") {
     datasets::FeretOptions options;
@@ -117,30 +166,32 @@ bool LoadDataset(const Flags& flags, const embedding::SimulatedEmbedder& embedde
     auto corpus = datasets::MakeFeret(&embedder, options);
     if (!corpus.ok()) {
       std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-      return false;
+      return 1;
     }
     out->corpus = std::move(*corpus);
     out->style_fn = datasets::FeretFaceStyleFn();
     out->scene = datasets::FeretScene();
-    return true;
+    return 0;
   }
   if (name == "utkface") {
     datasets::UtkFaceOptions options;
     options.render.render_images = with_images;
-    options.num_tuples = static_cast<int>(flags.GetInt("n", 20000));
+    int64_t num_tuples = 0;
+    if (!flags.GetInt("n", 20000, &num_tuples, /*min=*/1, INT_MAX)) return 2;
+    options.num_tuples = static_cast<int>(num_tuples);
     auto corpus = datasets::MakeUtkFace(&embedder, options);
     if (!corpus.ok()) {
       std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-      return false;
+      return 1;
     }
     out->corpus = std::move(*corpus);
     out->style_fn = datasets::UtkFaceStyleFn();
     out->scene = datasets::UtkFaceScene();
-    return true;
+    return 0;
   }
   std::fprintf(stderr, "unknown --dataset=%s (feret|utkface)\n",
                name.c_str());
-  return false;
+  return 1;
 }
 
 std::vector<coverage::Mup> FindMups(const fm::Corpus& corpus, int64_t tau) {
@@ -152,10 +203,15 @@ std::vector<coverage::Mup> FindMups(const fm::Corpus& corpus, int64_t tau) {
 }
 
 int CmdAudit(const Flags& flags) {
+  int64_t tau = 0;
+  if (!GetTau(flags, &tau)) return 2;
   const embedding::SimulatedEmbedder embedder;
   LoadedCorpus loaded;
-  if (!LoadDataset(flags, embedder, /*with_images=*/false, &loaded)) return 1;
-  const int64_t tau = flags.GetInt("tau", 100);
+  if (const int code = LoadDataset(flags, embedder, /*with_images=*/false,
+                                   &loaded);
+      code != 0) {
+    return code;
+  }
 
   const auto mups = FindMups(loaded.corpus, tau);
   std::printf("%zu tuples; %zu MUP(s) at tau=%lld\n",
@@ -172,10 +228,16 @@ int CmdAudit(const Flags& flags) {
 }
 
 int CmdPlan(const Flags& flags) {
+  int64_t tau = 0;
+  int64_t seed = 0;
+  if (!GetTau(flags, &tau) || !flags.GetInt("seed", 99, &seed)) return 2;
   const embedding::SimulatedEmbedder embedder;
   LoadedCorpus loaded;
-  if (!LoadDataset(flags, embedder, /*with_images=*/false, &loaded)) return 1;
-  const int64_t tau = flags.GetInt("tau", 100);
+  if (const int code = LoadDataset(flags, embedder, /*with_images=*/false,
+                                   &loaded);
+      code != 0) {
+    return code;
+  }
   const std::string algorithm = flags.Get("algorithm", "greedy");
 
   const auto mups = FindMups(loaded.corpus, tau);
@@ -187,7 +249,7 @@ int CmdPlan(const Flags& flags) {
   const auto targets = coverage::MupFinder::MinLevel(mups);
   const auto& schema = loaded.corpus.dataset.schema();
   core::CombinationPlan plan;
-  util::Rng rng(flags.GetInt("seed", 99));
+  util::Rng rng(seed);
   if (algorithm == "greedy") {
     plan = core::GreedySelect(schema, targets);
   } else if (algorithm == "mingap") {
@@ -212,15 +274,22 @@ int CmdPlan(const Flags& flags) {
 }
 
 int CmdRepair(const Flags& flags) {
-  const embedding::SimulatedEmbedder embedder;
-  LoadedCorpus loaded;
-  if (!LoadDataset(flags, embedder, /*with_images=*/true, &loaded)) return 1;
-
   core::ChameleonOptions options;
-  options.tau = flags.GetInt("tau", 100);
-  options.seed = flags.GetInt("seed", 99);
-  options.rejection.quality_alpha = flags.GetDouble("alpha", 0.1);
-  options.rejection.svm.nu = flags.GetDouble("nu", 0.3);
+  int64_t seed = 0;
+  int64_t rejection_batch = 0;
+  int64_t evaluator_seed = 0;
+  if (!GetTau(flags, &options.tau) || !flags.GetInt("seed", 99, &seed) ||
+      !flags.GetDouble("alpha", 0.1, &options.rejection.quality_alpha) ||
+      !flags.GetDouble("nu", 0.3, &options.rejection.svm.nu) ||
+      !flags.GetInt("rejection-batch", options.rejection_batch,
+                    &rejection_batch, /*min=*/1, INT_MAX) ||
+      !flags.GetInt("evaluator_seed", 2024, &evaluator_seed)) {
+    return 2;
+  }
+  options.seed = static_cast<uint64_t>(seed);
+  // Each rejection round is one GenerateBatch dispatch of
+  // --rejection-batch queries (DESIGN.md §11).
+  options.rejection_batch = static_cast<int>(rejection_batch);
 
   const std::string strategy = flags.Get("strategy", "linucb");
   if (strategy == "linucb") {
@@ -247,24 +316,12 @@ int CmdRepair(const Flags& flags) {
     return 1;
   }
 
-  // Batched transport and the multi-backend pool (DESIGN.md §11): each
-  // rejection round is one GenerateBatch dispatch of --rejection-batch
-  // queries.
-  options.rejection_batch = static_cast<int>(
-      flags.GetInt("rejection-batch", options.rejection_batch));
-  const std::string router = flags.Get("router", "greedy");
-  if (router == "greedy") {
-    options.backend_router = fm::BackendRouterKind::kGreedyCost;
-  } else if (router == "linucb") {
-    options.backend_router = fm::BackendRouterKind::kLinUcb;
-  } else {
-    std::fprintf(stderr, "unknown --router=%s\n", router.c_str());
-    return 1;
-  }
-  const int num_backends = static_cast<int>(flags.GetInt("backends", 1));
-  if (num_backends < 1) {
-    std::fprintf(stderr, "--backends must be >= 1\n");
-    return 1;
+  const embedding::SimulatedEmbedder embedder;
+  LoadedCorpus loaded;
+  if (const int code = LoadDataset(flags, embedder, /*with_images=*/true,
+                                   &loaded);
+      code != 0) {
+    return code;
   }
 
   const std::string metrics_out = flags.Get("metrics-out", "");
@@ -341,18 +398,8 @@ int CmdRepair(const Flags& flags) {
   fm::SimulatedFoundationModel model(loaded.corpus.dataset.schema(),
                                      loaded.style_fn, loaded.scene,
                                      fm::SimulatedFoundationModel::Options());
-  fm::SimulatedBackendPool pool;
-  fm::FoundationModel* fm_model = &model;
-  if (num_backends > 1) {
-    fm::SimulatedPoolOptions pool_options;
-    pool_options.num_backends = num_backends;
-    pool = fm::MakeSimulatedBackendPool(loaded.corpus.dataset.schema(),
-                                        loaded.style_fn, loaded.scene,
-                                        pool_options);
-    fm_model = pool.pool.get();
-  }
-  const fm::EvaluatorPool evaluators(flags.GetInt("evaluator_seed", 2024));
-  core::Chameleon system(fm_model, &embedder, &evaluators, options);
+  const fm::EvaluatorPool evaluators(static_cast<uint64_t>(evaluator_seed));
+  core::Chameleon system(&model, &embedder, &evaluators, options);
   auto report = system.RepairMinLevelMups(&loaded.corpus);
   sigaction(SIGINT, &previous_int, nullptr);
   sigaction(SIGTERM, &previous_term, nullptr);
@@ -384,16 +431,6 @@ int CmdRepair(const Flags& flags) {
               static_cast<long long>(report->accepted),
               100.0 * report->AcceptanceRate(), report->estimated_p,
               report->total_cost, report->fully_resolved ? "yes" : "no");
-
-  if (num_backends > 1) {
-    std::printf("backend routing (%s):",
-                fm::BackendRouterKindName(options.backend_router));
-    for (int b = 0; b < pool.pool->num_backends(); ++b) {
-      std::printf(" %s=%lld", pool.pool->profile(b).name.c_str(),
-                  static_cast<long long>(pool.pool->routed_queries(b)));
-    }
-    std::printf("\n");
-  }
 
   if (flags.Has("metrics")) {
     std::printf("%s", observability.registry.ToTable().ToString().c_str());
@@ -468,8 +505,7 @@ int Usage() {
                "random|noguide]\n"
                "         [--mask=accurate|moderate|imprecise] [--alpha=A] "
                "[--nu=V] [--out=DIR]\n"
-               "         [--rejection-batch=N] [--backends=N] "
-               "[--router=greedy|linucb]\n"
+               "         [--rejection-batch=N]\n"
                "         [--metrics] [--metrics-out=FILE] [--trace-out=FILE] "
                "[--journal-out=FILE]\n"
                "         [--openmetrics-out=FILE] [--trace-json-out=FILE] "
