@@ -224,6 +224,107 @@ TEST_F(SimulatedFmTest, EditDifficultyIsDeterministicPerSeed) {
   }
 }
 
+// 64-bit FNV-1a over `size` bytes, chained from `hash`.
+uint64_t Fnv1a(const void* data, size_t size, uint64_t hash) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Golden digests of guided Generate: the composite's shape and bytes,
+// chained with the rng's next NextGaussian and NextU64 after each query,
+// over FERET-style guides at every mask level. The 64 px simulator
+// regenerates onto 64 px guides and onto the 24 and 32 px guides
+// chameleond serves (ROADMAP item 1). Three base realisms give clean
+// renders (realism >= 1), banding and artifact noise (0.7 <= realism <
+// 1) and the misplaced-feature blob as well (realism < 0.7). Every odd
+// query starts with a cached spare. The render may get faster; these
+// bytes may not move.
+TEST(GuidedRenderGoldenTest, DigestsOfGuidedGenerationAreStable) {
+  struct Golden {
+    int guide_size;
+    uint64_t clean;
+    uint64_t artifacts;
+    uint64_t blob;
+  };
+  const Golden goldens[] = {
+      {64, 0xa0d53e81d9074a65ULL, 0xedc380422d2c7fb3ULL,
+       0x2f81ac3d8dd81a1bULL},
+      {32, 0x08b31587d5c02406ULL, 0xa2a1737a7a8d6ec2ULL,
+       0xcedfab6fd25f74f3ULL},
+      {24, 0x4d4ea77becd4151fULL, 0x63b38bd68c86ff79ULL,
+       0x57c5ccbcbdf76e25ULL},
+  };
+  const data::AttributeSchema schema = datasets::FeretSchema();
+  const FaceStyleFn style_fn = datasets::FeretFaceStyleFn();
+  // Base realism and the realism range each setting must produce.
+  struct Setting {
+    double base_realism;
+    double min_realism;
+    double max_realism;
+  };
+  const Setting settings[] = {{1.5, 1.0, 9.0}, {0.95, 0.7, 1.0},
+                              {0.5, -9.0, 0.7}};
+  for (const Golden& golden : goldens) {
+    const uint64_t expected[] = {golden.clean, golden.artifacts, golden.blob};
+    for (int s = 0; s < 3; ++s) {
+      SCOPED_TRACE(testing::Message() << golden.guide_size << " px guides, "
+                                      << "base realism "
+                                      << settings[s].base_realism);
+      SimulatedFoundationModel::Options options;
+      options.guided_base_realism = settings[s].base_realism;
+      SimulatedFoundationModel model(schema, style_fn, datasets::FeretScene(),
+                                     options);
+      util::Rng rng(static_cast<uint64_t>(4100 + golden.guide_size));
+      uint64_t hash = 0xcbf29ce484222325ULL;
+      int query = 0;
+      for (int guide_index = 0; guide_index < 4; ++guide_index) {
+        const std::vector<int> guide_values = {guide_index % 2,
+                                               guide_index % 5};
+        const std::vector<int> target_values = {guide_index % 2,
+                                                (guide_index + 2) % 5};
+        image::RenderOptions render;
+        render.size = golden.guide_size;
+        const image::Image guide =
+            image::RenderFace(style_fn(guide_values, &rng),
+                              image::JitterScene(datasets::FeretScene(), 12.0,
+                                                 &rng),
+                              render, &rng);
+        const image::Image foreground = image::ExtractForeground(guide);
+        for (image::MaskLevel level :
+             {image::MaskLevel::kAccurate, image::MaskLevel::kModerate,
+              image::MaskLevel::kImprecise}) {
+          const image::Image mask =
+              image::MaskFromForeground(foreground, level);
+          GenerationRequest request;
+          request.target_values = target_values;
+          request.guide = &guide;
+          request.guide_values = &guide_values;
+          request.mask = &mask;
+          request.guide_foreground = &foreground;
+          if (query++ % 2 == 1) rng.NextGaussian();
+          const auto result = model.Generate(request, &rng);
+          ASSERT_TRUE(result.ok());
+          EXPECT_GE(result->latent_realism, settings[s].min_realism);
+          EXPECT_LT(result->latent_realism, settings[s].max_realism);
+          const image::Image& img = result->image;
+          const int dims[] = {img.width(), img.height(), img.channels()};
+          hash = Fnv1a(dims, sizeof(dims), hash);
+          hash = Fnv1a(img.pixels().data(), img.pixels().size(), hash);
+          const double next_gaussian = rng.NextGaussian();
+          const uint64_t next_u64 = rng.NextU64();
+          hash = Fnv1a(&next_gaussian, sizeof(next_gaussian), hash);
+          hash = Fnv1a(&next_u64, sizeof(next_u64), hash);
+        }
+      }
+      EXPECT_EQ(hash, expected[s]);
+    }
+  }
+}
+
 TEST(SimulatedFmOrdinalTest, OrdinalDistanceAmplifiesCost) {
   const auto schema = datasets::UtkFaceSchema();
   SimulatedFoundationModel model(schema, datasets::UtkFaceStyleFn(),
