@@ -224,10 +224,13 @@ util::Result<GenerationResult> SimulatedFoundationModel::Generate(
   scene.background_bottom =
       PerturbColor(scene.background_bottom, bg_error, rng);
 
+  // Only the masked pixels reach the composite, so only they are
+  // rendered; the rng ends as a full render leaves it.
   image::RenderOptions render;
   render.size = options_.image_size;
   render.artifact_level = std::clamp(1.0 - realism, 0.0, 1.0);
-  const image::Image regenerated = image::RenderFace(style, scene, render, rng);
+  const image::Image regenerated =
+      image::RenderFace(style, scene, render, rng, request.mask);
   result.image = image::CompositeWithMask(*request.guide, regenerated,
                                           *request.mask);
   return result;

@@ -95,7 +95,8 @@ FaceStyle MakeFaceStyle(int skin_group, int num_skin_groups, bool feminine,
 }
 
 Image RenderFace(const FaceStyle& face, const SceneStyle& scene,
-                 const RenderOptions& options, util::Rng* rng) {
+                 const RenderOptions& options, util::Rng* rng,
+                 const Image* keep) {
   const int s = options.size;
   Image img(s, s, 3);
   FillVerticalGradient(&img, scene.background_top, scene.background_bottom);
@@ -177,18 +178,21 @@ Image RenderFace(const FaceStyle& face, const SceneStyle& scene,
   // Artifacts: what a low-quality generation looks like.
   if (options.artifact_level > 0.0) {
     const double a = options.artifact_level;
-    AddBanding(&img, std::max(2, s / 12), 24.0 * a);
+    // The blur reads these bytes up to its radius away from a kept pixel.
+    const KeepRegion blur_input{keep, BlurRadius(scene.blur_sigma)};
+    AddBanding(&img, std::max(2, s / 12), 24.0 * a, blur_input);
     // Feature misplacement: a stray skin-colored blob.
     if (a > 0.3) {
       FillCircle(&img, cx + rng->NextGaussian(0, face_rx),
                  cy + rng->NextGaussian(0, face_ry), eye_r * (1.0 + a),
                  Darken(face.skin, 0.7));
     }
-    AddGaussianNoise(&img, 18.0 * a, rng);
+    AddGaussianNoise(&img, 18.0 * a, rng, blur_input);
   }
 
-  Image blurred = GaussianBlur(img, scene.blur_sigma);
-  AddGaussianNoise(&blurred, 2.0, rng);  // Sensor grain on every photo.
+  Image blurred = GaussianBlur(img, scene.blur_sigma, KeepRegion{keep});
+  // Sensor grain on every photo.
+  AddGaussianNoise(&blurred, 2.0, rng, KeepRegion{keep});
   return blurred;
 }
 

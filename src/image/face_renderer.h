@@ -48,8 +48,16 @@ struct RenderOptions {
 /// head, hair cap, eyes, nose, mouth, optional wrinkles), the stand-in for
 /// UTKFace/FERET photographs. `rng` drives per-image jitter (pose, exact
 /// feature placement) and artifact placement.
+///
+/// A non-null `keep` mask renders only what a caller keeps: the pixels
+/// (x, y) where keep's channel 0 is non-zero, read at the render's (x, y)
+/// with bounds checks as CompositeWithMask reads its mask. Those pixels
+/// come out byte-identical to the full render's and `rng` ends in the same
+/// state; the other pixels are unspecified. Blur, noise and banding then
+/// skip the pixels no kept byte depends on (KeepRegion in filter.h).
 Image RenderFace(const FaceStyle& face, const SceneStyle& scene,
-                 const RenderOptions& options, util::Rng* rng);
+                 const RenderOptions& options, util::Rng* rng,
+                 const Image* keep = nullptr);
 
 /// Per-photo lighting/backdrop variation: perturbs the scene's gradient
 /// colors by N(0, stddev) per channel (correlated across top/bottom, as

@@ -70,7 +70,9 @@ class Image {
 /// mask's channel 0 at (x, y) is non-zero, else bg's. `fg` and `mask` are
 /// read at bg's (x, y) and must be at least as large; nothing checks that
 /// they share bg's dimensions. chameleond's simulator composites its 64 px
-/// render onto smaller guides this way (ROADMAP item 1).
+/// render onto smaller guides this way (ROADMAP item 1). Only fg's pixels
+/// under a non-zero mask are read, so a guided render passes the same
+/// mask to RenderFace as its keep mask and computes nothing else.
 Image CompositeWithMask(const Image& bg, const Image& fg, const Image& mask);
 
 }  // namespace chameleon::image

@@ -597,6 +597,196 @@ TEST(KernelDifferentialTest, AddGaussianNoiseMatchesPerByteLoop) {
   ExpectNoiseMatchesPerByteLoop(Image(), 2.0, util::Rng(5));
 }
 
+// Whether `keep` keeps pixel (x, y) of a w x h image, straight from
+// KeepRegion's definition.
+bool Keeps(const KeepRegion& keep, int w, int h, int x, int y) {
+  if (keep.mask == nullptr) return true;
+  for (int sy = y - keep.grow; sy <= y + keep.grow; ++sy) {
+    for (int sx = x - keep.grow; sx <= x + keep.grow; ++sx) {
+      if (sx >= 0 && sx < w && sy >= 0 && sy < h &&
+          keep.mask->InBounds(sx, sy) && keep.mask->at(sx, sy, 0) != 0) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// Asserts that `actual` and `expected` have one shape and agree on every
+// byte of every pixel `keep` keeps.
+void ExpectKeptBytesEqual(const Image& actual, const Image& expected,
+                          const KeepRegion& keep) {
+  ASSERT_EQ(actual.width(), expected.width());
+  ASSERT_EQ(actual.height(), expected.height());
+  ASSERT_EQ(actual.channels(), expected.channels());
+  for (int y = 0; y < actual.height(); ++y) {
+    for (int x = 0; x < actual.width(); ++x) {
+      if (!Keeps(keep, actual.width(), actual.height(), x, y)) continue;
+      for (int c = 0; c < actual.channels(); ++c) {
+        ASSERT_EQ(actual.at(x, y, c), expected.at(x, y, c))
+            << "kept pixel " << x << "," << y << " channel " << c;
+      }
+    }
+  }
+}
+
+// A keep mask for a w x h image, of one of six kinds: empty, full, sparse
+// with holes, mostly set with holes, smaller than the image, or larger.
+Image RandomKeepMask(int w, int h, int kind, util::Rng* rng) {
+  const int channels = RandomChannels(rng);
+  switch (kind % 6) {
+    case 0:
+      return Image(w, h, channels, 0);
+    case 1:
+      return RandomMask(w, h, channels, 1.0, rng);
+    case 2:
+      return RandomMask(w, h, channels, 0.05, rng);
+    case 3:
+      return RandomMask(w, h, channels, 0.8, rng);
+    case 4:
+      return RandomMask(static_cast<int>(rng->NextInt(1, w)),
+                        static_cast<int>(rng->NextInt(1, h)), channels, 0.5,
+                        rng);
+    default:
+      return RandomMask(w + static_cast<int>(rng->NextInt(1, 9)),
+                        h + static_cast<int>(rng->NextInt(1, 9)), channels,
+                        0.3, rng);
+  }
+}
+
+TEST(KernelDifferentialTest, KeptGaussianBlurMatchesOnKeptPixels) {
+  util::Rng rng(2105);
+  const double sigmas[] = {0.5, 0.7, 1.3, 3.0};
+  for (int i = 0; i < 600; ++i) {
+    const int w = RandomSide(&rng);
+    const int h = RandomSide(&rng);
+    const double sigma = sigmas[i % 4];
+    const Image img = RandomScene(w, h, RandomChannels(&rng), &rng);
+    const Image mask = RandomKeepMask(w, h, i, &rng);
+    const KeepRegion keep{&mask,
+                          i % 3 == 0 ? static_cast<int>(rng.NextInt(1, 4)) : 0};
+    SCOPED_TRACE(testing::Message()
+                 << "case " << i << ": " << w << "x" << h << "x"
+                 << img.channels() << " sigma " << sigma << " mask "
+                 << mask.width() << "x" << mask.height() << " kind " << i % 6
+                 << " grow " << keep.grow);
+    ExpectKeptBytesEqual(GaussianBlur(img, sigma, keep),
+                         reference::GaussianBlur(img, sigma), keep);
+  }
+  // A null mask keeps the whole image.
+  const Image img = RandomScene(17, 9, 3, &rng);
+  EXPECT_EQ(GaussianBlur(img, 1.3, KeepRegion{}),
+            reference::GaussianBlur(img, 1.3));
+}
+
+// One keep-restricted noise case: the production kernel under `keep` and
+// the per-byte loop over the whole image, on copies of `input` and `rng`.
+// Every kept byte must match, and so must the rng state after.
+void ExpectKeptNoiseMatchesPerByteLoop(const Image& input, double stddev,
+                                       const util::Rng& rng,
+                                       const KeepRegion& keep) {
+  Image fast = input;
+  Image expected = input;
+  util::Rng fast_rng = rng;
+  util::Rng reference_rng = rng;
+  AddGaussianNoise(&fast, stddev, &fast_rng, keep);
+  reference::AddGaussianNoise(&expected, stddev, &reference_rng);
+  ExpectKeptBytesEqual(fast, expected, keep);
+  const double fast_next = fast_rng.NextGaussian();
+  const double reference_next = reference_rng.NextGaussian();
+  ASSERT_EQ(std::memcmp(&fast_next, &reference_next, sizeof(double)), 0);
+  ASSERT_EQ(fast_rng.NextU64(), reference_rng.NextU64());
+}
+
+TEST(KernelDifferentialTest, KeptAddGaussianNoiseMatchesOnKeptBytes) {
+  util::Rng rng(2106);
+  const double sigmas[] = {0.01, 2.0, 18.0, 45.0};
+  for (int i = 0; i < 600; ++i) {
+    // Every eighth case has odd sides and one channel: an odd byte count,
+    // whose last pair leaves a spare.
+    const bool odd = i % 8 == 7;
+    const int w = odd ? 2 * static_cast<int>(rng.NextInt(0, 39)) + 1
+                      : RandomSide(&rng);
+    const int h = odd ? 2 * static_cast<int>(rng.NextInt(0, 39)) + 1
+                      : RandomSide(&rng);
+    const int channels = odd ? 1 : RandomChannels(&rng);
+    const double sigma = sigmas[i % 4];
+    const Image img = RandomScene(w, h, channels, &rng);
+    const Image mask = RandomKeepMask(w, h, i, &rng);
+    const KeepRegion keep{&mask,
+                          i % 3 == 0 ? static_cast<int>(rng.NextInt(1, 4)) : 0};
+    util::Rng noise_rng(rng.NextU64());
+    // Every other pair of cases starts with a cached spare.
+    const bool spare = i % 4 >= 2;
+    if (spare) noise_rng.NextGaussian();
+    SCOPED_TRACE(testing::Message()
+                 << "case " << i << ": " << w << "x" << h << "x" << channels
+                 << " sigma " << sigma << " spare " << spare << " mask "
+                 << mask.width() << "x" << mask.height() << " kind " << i % 6
+                 << " grow " << keep.grow);
+    ExpectKeptNoiseMatchesPerByteLoop(img, sigma, noise_rng, keep);
+  }
+  // A row of 1 to 7 one-byte pixels keeping exactly one of them, with and
+  // without a spare: the first byte (the spare's), a middle one, and the
+  // last one (a trailing single byte's pair when the count is odd).
+  for (int bytes = 1; bytes <= 7; ++bytes) {
+    for (int kept = 0; kept < bytes; ++kept) {
+      for (bool spare : {false, true}) {
+        Image mask(bytes, 1, 1, 0);
+        mask.at(kept, 0, 0) = 255;
+        util::Rng noise_rng(static_cast<uint64_t>(bytes) * 131 + kept);
+        if (spare) noise_rng.NextGaussian();
+        SCOPED_TRACE(testing::Message() << bytes << " bytes, kept " << kept
+                                        << " spare " << spare);
+        ExpectKeptNoiseMatchesPerByteLoop(Image(bytes, 1, 1, 77), 18.0,
+                                          noise_rng, KeepRegion{&mask});
+      }
+    }
+  }
+  // No noise and no pixels draw nothing, whatever the mask.
+  const Image empty_mask(3, 2, 1, 0);
+  ExpectKeptNoiseMatchesPerByteLoop(Image(3, 2, 3, 9), 0.0, util::Rng(5),
+                                    KeepRegion{&empty_mask});
+  ExpectKeptNoiseMatchesPerByteLoop(Image(), 2.0, util::Rng(5),
+                                    KeepRegion{&empty_mask});
+}
+
+// RenderFace under a keep mask against the full render: every kept pixel
+// and the rng's next draws match, for clean and artifact renders (above
+// 0.3 the misplaced-feature blob too) and masks of every kind.
+TEST(FaceRendererTest, KeepMaskRendersKeptPixelsExactly) {
+  util::Rng rng(2107);
+  const double artifact_levels[] = {0.0, 0.2, 0.6};
+  for (int i = 0; i < 90; ++i) {
+    const int size = i % 2 == 0 ? 64 : static_cast<int>(rng.NextInt(8, 48));
+    const FaceStyle style =
+        MakeFaceStyle(i % 5, 5, i % 3 == 0, rng.NextDouble(), &rng);
+    SceneStyle scene = JitterScene(SceneStyle(), 12.0, &rng);
+    if (i % 7 == 6) scene.blur_sigma = 0.0;
+    RenderOptions options;
+    options.size = size;
+    options.artifact_level = artifact_levels[i % 3];
+    // Guide-sized masks: the render's size, or smaller as chameleond's
+    // guides are.
+    const int guide = i % 4 < 2 ? size : static_cast<int>(rng.NextInt(1, size));
+    const Image mask = RandomKeepMask(guide, guide, i, &rng);
+    util::Rng render_rng(rng.NextU64());
+    if (i % 4 == 3) render_rng.NextGaussian();
+    util::Rng full_rng = render_rng;
+    SCOPED_TRACE(testing::Message()
+                 << "case " << i << ": " << size << " px, artifacts "
+                 << options.artifact_level << ", mask " << mask.width()
+                 << " px kind " << i % 6 << ", blur " << scene.blur_sigma);
+    const Image kept = RenderFace(style, scene, options, &render_rng, &mask);
+    const Image full = RenderFace(style, scene, options, &full_rng);
+    ExpectKeptBytesEqual(kept, full, KeepRegion{&mask});
+    const double kept_next = render_rng.NextGaussian();
+    const double full_next = full_rng.NextGaussian();
+    ASSERT_EQ(std::memcmp(&kept_next, &full_next, sizeof(double)), 0);
+    ASSERT_EQ(render_rng.NextU64(), full_rng.NextU64());
+  }
+}
+
 // Pixels whose exact value p + sigma * n lands on a byte boundary: sigma is
 // chosen so that sigma * n is +-3 for the first normal n of the stream, or
 // one ulp either side. There the approximate normal alone can pick the
