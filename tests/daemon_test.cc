@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -432,6 +433,34 @@ TEST(DaemonTest, RefusedRepairFrameEchoesItsReadableId) {
   EXPECT_EQ(server.daemon().stats().protocol_errors, 2);
 }
 
+TEST(DaemonTest, OutOfRangeNumberFieldsRefusedWithTheirId) {
+  RunningDaemon server;
+  server.Start();
+  // A negative attempt cost would run the request's deadline backwards, a
+  // quoted deadline would fall back to none, and a rate above 1 is no
+  // probability: each is refused, naming its request.
+  const std::pair<std::string, std::string> frames[] = {
+      {"cost", R"("resilience":{"attempt_cost_ms":-10})"},
+      {"late", R"("deadline_ms":"50")"},
+      {"rate", R"("faults":{"transient_rate":1.5})"},
+  };
+  for (const auto& [id, field] : frames) {
+    SCOPED_TRACE(field);
+    std::string payload = R"({"type":"repair","id":")";
+    payload += id;
+    payload += R"(",)";
+    payload += field;
+    payload += "}";
+    SendPayload(server.client(), payload);
+    obsctl::JsonValue refused = AwaitFrame(server.client(), "error");
+    EXPECT_EQ(refused.StringOr("id", ""), id);
+    EXPECT_EQ(refused.StringOr("code", ""), "InvalidArgument");
+  }
+  server.Finish();
+  EXPECT_EQ(server.daemon().stats().protocol_errors, 3);
+  EXPECT_EQ(server.daemon().stats().completed, 0);
+}
+
 TEST(ProtocolTest, FrameIdOfReadsOnlyAStringIdOfAnObject) {
   EXPECT_EQ(FrameIdOf("{\"type\":\"repair\",\"id\":\"r9\"}"), "r9");
   EXPECT_EQ(FrameIdOf("{\"type\":\"repair\",\"id\":9}"), "");
@@ -518,6 +547,61 @@ TEST(ProtocolTest, OutOfRangeIntegerFieldsRejectedNotNarrowed) {
   EXPECT_EQ(parsed->spec.resilience.max_attempts, 5);
   EXPECT_EQ(parsed->spec.resilience.breaker_failure_threshold, 7);
   EXPECT_EQ(parsed->spec.resilience.breaker_probe_interval, 3);
+}
+
+TEST(ProtocolTest, NumberFieldsMustBeFiniteAndInRange) {
+  // Rates are probabilities; durations and costs are finite and >= 0. A
+  // non-number is refused, not replaced by the default.
+  struct Case {
+    std::string object;  // "" for a top-level field
+    std::string field;
+    std::vector<std::string> bad;
+    std::string good;
+  };
+  const std::vector<std::string> bad_duration = {"-10", "-1e-9", "1e400",
+                                                 "\"50\"", "true", "null",
+                                                 "[1]"};
+  const std::vector<std::string> bad_rate = {"1.5", "-0.1", "1e400",
+                                             "\"0.5\"", "false"};
+  const Case cases[] = {
+      {"", "deadline_ms", bad_duration, "50"},
+      {"resilience", "backoff_base_ms", bad_duration, "0"},
+      {"resilience", "backoff_max_ms", bad_duration, "2000"},
+      {"resilience", "attempt_cost_ms", bad_duration, "12.5"},
+      {"faults", "transient_rate", bad_rate, "1"},
+      {"faults", "rate_limit_rate", bad_rate, "0"},
+      {"faults", "deadline_rate", bad_rate, "0.25"},
+      {"faults", "malformed_rate", bad_rate, "0.5"},
+  };
+  auto frame = [](const Case& c, const std::string& value) {
+    std::string field = "\"" + c.field + "\":" + value;
+    if (!c.object.empty()) field = "\"" + c.object + "\":{" + field + "}";
+    return ParseRequestFrame(R"({"type":"repair","id":"r",)" + field + "}");
+  };
+  for (const Case& c : cases) {
+    for (const std::string& value : c.bad) {
+      SCOPED_TRACE(c.field + "=" + value);
+      auto parsed = frame(c, value);
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find(c.field), std::string::npos);
+    }
+    SCOPED_TRACE(c.field + "=" + c.good);
+    auto parsed = frame(c, c.good);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  }
+  auto parsed = ParseRequestFrame(
+      R"({"type":"repair","id":"r","deadline_ms":50,)"
+      R"("faults":{"transient_rate":0.25,"malformed_rate":1},)"
+      R"("resilience":{"backoff_base_ms":3,"backoff_max_ms":40,)"
+      R"("attempt_cost_ms":12.5}})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->spec.deadline_ms, 50.0);
+  EXPECT_EQ(parsed->spec.faults.transient_rate, 0.25);
+  EXPECT_EQ(parsed->spec.faults.malformed_rate, 1.0);
+  EXPECT_EQ(parsed->spec.resilience.backoff_base_ms, 3.0);
+  EXPECT_EQ(parsed->spec.resilience.backoff_max_ms, 40.0);
+  EXPECT_EQ(parsed->spec.resilience.attempt_cost_ms, 12.5);
 }
 
 TEST(ProtocolTest, NumThreadsCappedAtAFixedLimit) {

@@ -1,6 +1,7 @@
 #include "tools/chameleond/protocol.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -55,6 +56,41 @@ util::Status ReadInt64Field(const obsctl::JsonValue& json,
   }
   *out = static_cast<int64_t>(value->number_value);
   return util::Status::Ok();
+}
+
+/// Reads the optional number field `key` into `*out`, which keeps its
+/// value when the field is absent. A value that is not a number, or not
+/// a finite number in [min, max], is rejected rather than replaced by the
+/// default.
+util::Status ReadNumberField(const obsctl::JsonValue& json,
+                             const std::string& key, double min, double max,
+                             double* out) {
+  const obsctl::JsonValue* value = json.Find(key);
+  if (value == nullptr) return util::Status::Ok();
+  if (!value->is_number()) {
+    return util::Status::InvalidArgument(key + " must be a number");
+  }
+  const double number = value->number_value;
+  if (!(std::isfinite(number) && number >= min && number <= max)) {
+    return util::Status::InvalidArgument(
+        key + " must be a finite number in [" + FormatDouble(min) + ", " +
+        FormatDouble(max) + "]");
+  }
+  *out = number;
+  return util::Status::Ok();
+}
+
+/// ReadNumberField for a finite number >= 0: a duration or a cost.
+util::Status ReadNonNegativeField(const obsctl::JsonValue& json,
+                                  const std::string& key, double* out) {
+  return ReadNumberField(json, key, 0.0,
+                         std::numeric_limits<double>::infinity(), out);
+}
+
+/// ReadNumberField for a probability.
+util::Status ReadRateField(const obsctl::JsonValue& json,
+                           const std::string& key, double* out) {
+  return ReadNumberField(json, key, 0.0, 1.0, out);
 }
 
 /// A seed is an int64 on the wire, reinterpreted as the uint64 it seeds.
@@ -196,7 +232,8 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
       ReadIntField(*json, "rejection_batch", &spec.rejection_batch));
   CHAMELEON_RETURN_NOT_OK(
       ReadIntField(*json, "num_threads", &spec.num_threads));
-  spec.deadline_ms = json->NumberOr("deadline_ms", spec.deadline_ms);
+  CHAMELEON_RETURN_NOT_OK(
+      ReadNonNegativeField(*json, "deadline_ms", &spec.deadline_ms));
   spec.incremental = json->BoolOr("incremental", spec.incremental);
   if (spec.tau <= 0) {
     return util::Status::InvalidArgument("tau must be positive");
@@ -214,9 +251,6 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
         "num_threads must be in [0, " + std::to_string(kMaxRequestThreads) +
         "]");
   }
-  if (spec.deadline_ms < 0.0) {
-    return util::Status::InvalidArgument("deadline_ms must be >= 0");
-  }
 
   if (const obsctl::JsonValue* faults = json->Find("faults")) {
     if (!faults->is_object()) {
@@ -225,10 +259,14 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
     spec.has_faults = true;
     fm::FlakyOptions& f = spec.faults;
     CHAMELEON_RETURN_NOT_OK(ReadSeedField(*faults, &f.seed));
-    f.transient_rate = faults->NumberOr("transient_rate", f.transient_rate);
-    f.rate_limit_rate = faults->NumberOr("rate_limit_rate", f.rate_limit_rate);
-    f.deadline_rate = faults->NumberOr("deadline_rate", f.deadline_rate);
-    f.malformed_rate = faults->NumberOr("malformed_rate", f.malformed_rate);
+    CHAMELEON_RETURN_NOT_OK(
+        ReadRateField(*faults, "transient_rate", &f.transient_rate));
+    CHAMELEON_RETURN_NOT_OK(
+        ReadRateField(*faults, "rate_limit_rate", &f.rate_limit_rate));
+    CHAMELEON_RETURN_NOT_OK(
+        ReadRateField(*faults, "deadline_rate", &f.deadline_rate));
+    CHAMELEON_RETURN_NOT_OK(
+        ReadRateField(*faults, "malformed_rate", &f.malformed_rate));
     CHAMELEON_RETURN_NOT_OK(
         ReadInt64Field(*faults, "fail_from_query", &f.fail_from_query));
     CHAMELEON_RETURN_NOT_OK(
@@ -245,9 +283,12 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
     CHAMELEON_RETURN_NOT_OK(ReadSeedField(*res, &r.seed));
     CHAMELEON_RETURN_NOT_OK(
         ReadIntField(*res, "max_attempts", &r.max_attempts));
-    r.backoff_base_ms = res->NumberOr("backoff_base_ms", r.backoff_base_ms);
-    r.backoff_max_ms = res->NumberOr("backoff_max_ms", r.backoff_max_ms);
-    r.attempt_cost_ms = res->NumberOr("attempt_cost_ms", r.attempt_cost_ms);
+    CHAMELEON_RETURN_NOT_OK(
+        ReadNonNegativeField(*res, "backoff_base_ms", &r.backoff_base_ms));
+    CHAMELEON_RETURN_NOT_OK(
+        ReadNonNegativeField(*res, "backoff_max_ms", &r.backoff_max_ms));
+    CHAMELEON_RETURN_NOT_OK(
+        ReadNonNegativeField(*res, "attempt_cost_ms", &r.attempt_cost_ms));
     CHAMELEON_RETURN_NOT_OK(ReadIntField(*res, "breaker_failure_threshold",
                                          &r.breaker_failure_threshold));
     CHAMELEON_RETURN_NOT_OK(ReadIntField(*res, "breaker_probe_interval",
