@@ -19,7 +19,9 @@
 //
 // Numeric flags are parsed whole: a malformed or out-of-range value (for
 // example --tau=abc, --tau=0 or --rejection-batch=0) exits 2 with a
-// message instead of running with a silently substituted number.
+// message instead of running with a silently substituted number. So does
+// a flag the command does not read (--rejection_batch=8) or an argument
+// without `--` (tau=5), which would otherwise run with the default.
 //
 // Observability (DESIGN.md §9): any of --metrics / --metrics-out= /
 // --trace-out= / --journal-out= attaches an obs::Observability sink to
@@ -27,6 +29,7 @@
 // flags export metrics / spans / the run journal as JSONL files.
 // Instrumentation never changes which tuples are accepted.
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <climits>
@@ -78,7 +81,10 @@ class Flags {
   Flags(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
+      if (arg.rfind("--", 0) != 0) {
+        unexpected_.push_back(arg);
+        continue;
+      }
       const size_t eq = arg.find('=');
       if (eq == std::string::npos) {
         values_[arg.substr(2)] = "true";
@@ -86,6 +92,25 @@ class Flags {
         values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }
     }
+  }
+
+  /// True when every argument is a --flag named in `known`; otherwise
+  /// names the first argument that is not on stderr and returns false.
+  bool OnlyKnown(const std::vector<std::string>& known) const {
+    if (!unexpected_.empty()) {
+      std::fprintf(stderr,
+                   "unexpected argument '%s' (flags are --name=value)\n",
+                   unexpected_.front().c_str());
+      return false;
+    }
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        std::fprintf(stderr, "unknown flag --%s=%s\n", key.c_str(),
+                     value.c_str());
+        return false;
+      }
+    }
+    return true;
   }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
@@ -142,6 +167,7 @@ class Flags {
 
  private:
   std::map<std::string, std::string> values_;
+  std::vector<std::string> unexpected_;
 };
 
 struct LoadedCorpus {
@@ -519,8 +545,24 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const Flags flags(argc, argv);
-  if (command == "audit") return CmdAudit(flags);
-  if (command == "plan") return CmdPlan(flags);
-  if (command == "repair") return CmdRepair(flags);
-  return Usage();
+  // The flags each command reads. Every one builds a --dataset corpus,
+  // and utkface reads --n.
+  std::vector<std::string> known = {"dataset", "n", "tau"};
+  int (*run)(const Flags&) = nullptr;
+  if (command == "audit") {
+    run = CmdAudit;
+  } else if (command == "plan") {
+    run = CmdPlan;
+    known.insert(known.end(), {"seed", "algorithm"});
+  } else if (command == "repair") {
+    run = CmdRepair;
+    known.insert(known.end(),
+                 {"seed", "alpha", "nu", "rejection-batch", "evaluator_seed",
+                  "strategy", "mask", "out", "metrics", "metrics-out",
+                  "trace-out", "journal-out", "openmetrics-out",
+                  "trace-json-out", "request-id"});
+  } else {
+    return Usage();
+  }
+  return flags.OnlyKnown(known) ? run(flags) : 2;
 }
