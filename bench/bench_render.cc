@@ -21,8 +21,8 @@
 // each case keeps its in-process speedup floor over the reference
 // (medians over repetitions): noise 1.3x, features 2.5x, guided render
 // 1.05x on 64 px guides and 1.5x on 24 px guides. The floors sit under
-// what a 4-vCPU Xeon VM measured (CHANGES.md), and unlike absolute ns
-// they hold when the host slows.
+// the 1.5-1.9x, 4.6-5.3x, 1.2x and 2.7x measured on a 4-vCPU Xeon VM,
+// and unlike absolute ns they hold when the host slows.
 //
 // Flags: --json=<path> (schema-v1 report of the fast kernels' ns/call),
 // --smoke (fewer repetitions).
