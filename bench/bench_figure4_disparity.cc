@@ -2,7 +2,9 @@
 // classifier for the uncovered FERET groups before vs after repair —
 // p-Disparity(g) = max(0, 1 - rho_g / rho_all) for precision, recall and
 // F1 (panels a-c) — and the price of fairness (panel d): the change in
-// overall precision/recall/F1 caused by the repair.
+// overall precision/recall/F1 caused by the repair. Exits 1 unless every
+// uncovered group's F1-disparity falls after the repair (the paper's
+// shape).
 
 #include <cstdio>
 
@@ -65,6 +67,8 @@ int main(int argc, char** argv) {
        &nn::ClassificationReport::WeightedRecall},
   };
 
+  // The paper's shape: the repair lowers every group's F1-disparity.
+  bool shaped = true;
   for (const auto& metric : metrics) {
     std::printf("\n(%s-Disparity)\n", metric.name);
     util::TablePrinter table({"Group", "Before repair", "After repair",
@@ -78,6 +82,12 @@ int main(int argc, char** argv) {
           (after.class_metrics(g).*(metric.group_fn))(), overall_after);
       table.AddRow({schema.attribute(1).values[g], util::Fmt(d_before),
                     util::Fmt(d_after), util::Fmt(d_before - d_after)});
+      if (&metric == &metrics[0] && !(d_after < d_before)) {
+        std::fprintf(stderr, "FAIL: %s F1-disparity %.4f -> %.4f, expected "
+                     "a fall\n", schema.attribute(1).values[g].c_str(),
+                     d_before, d_after);
+        shaped = false;
+      }
     }
     std::printf("%s", table.ToString().c_str());
   }
@@ -95,6 +105,8 @@ int main(int argc, char** argv) {
                 util::Fmt(after.WeightedF1()),
                 util::Fmt(after.WeightedF1() - before.WeightedF1())});
   std::printf("%s", price.ToString().c_str());
+  std::printf("\nPaper shape: %s\n", shaped ? "holds" : "BROKEN");
   return bench::FinishExperiment(argc, argv, "bench_figure4_disparity",
-                                 bench_stopwatch.ElapsedSeconds(), 0);
+                                 bench_stopwatch.ElapsedSeconds(),
+                                 shaped ? 0 : 1);
 }

@@ -15,6 +15,10 @@
 namespace chameleon::core {
 namespace {
 
+/// Safety cap per plan entry: an entry gives up after
+/// kMaxAttemptsPerTuple × its count attempts in total, accepted or not.
+constexpr int64_t kMaxAttemptsPerTuple = 40;
+
 /// One submitted request awaiting its transport result. Select runs
 /// serially at submission; generation and label draws come from two
 /// streams forked off the master rng at submission time, so the model's
@@ -347,8 +351,7 @@ util::Result<int64_t> Chameleon::GenerateAccepted(
   int64_t attempts = 0;
   // Saturating: a huge tau (the wire only checks tau > 0) makes `count`
   // a huge gap, and INT64_MAX bounds the loop as well as the product.
-  const int64_t attempt_cap =
-      SaturatingMul(options_.max_attempts_per_tuple, count);
+  const int64_t attempt_cap = SaturatingMul(kMaxAttemptsPerTuple, count);
   const int64_t batch_limit =
       std::max<int64_t>(1, options_.rejection_batch);
   const int num_threads =

@@ -39,11 +39,10 @@ struct ChameleonOptions {
   RejectionSamplerOptions rejection;
   /// Samples used to estimate p from real tuples before repairing.
   int p_estimation_samples = 500;
-  /// Safety caps: total foundation-model queries, and attempts per plan
-  /// entry — an entry gives up after max_attempts_per_tuple × its count
-  /// attempts in total, accepted or not.
+  /// Safety cap on total foundation-model queries. (Each plan entry is
+  /// also capped at kMaxAttemptsPerTuple × its count attempts, fixed in
+  /// chameleon.cc.)
   int64_t max_queries = 50000;
-  int64_t max_attempts_per_tuple = 40;
   uint64_t seed = 99;
   /// Worker count for the parallel stages: MUP detection, and per
   /// rejection round (rejection_batch > 1) the guides' masks, the batched

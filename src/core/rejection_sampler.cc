@@ -1,6 +1,12 @@
 #include "src/core/rejection_sampler.h"
 
 namespace chameleon::core {
+namespace {
+
+/// N: the small fixed evaluation budget per generated tuple.
+constexpr int kEvaluationsPerTuple = 5;
+
+}  // namespace
 
 util::Result<RejectionSampler> RejectionSampler::Train(
     const std::vector<std::vector<double>>& real_embeddings,
@@ -31,8 +37,7 @@ stats::TTestResult RejectionSampler::QualityTest(double latent_realism,
 
 std::vector<int> RejectionSampler::DrawQualityLabels(double latent_realism,
                                                      util::Rng* rng) const {
-  return evaluators_->Evaluate(latent_realism,
-                               options_.evaluations_per_tuple, rng);
+  return evaluators_->Evaluate(latent_realism, kEvaluationsPerTuple, rng);
 }
 
 RejectionOutcome RejectionSampler::EvaluateWithLabels(
@@ -40,9 +45,6 @@ RejectionOutcome RejectionSampler::EvaluateWithLabels(
     const std::vector<int>& labels) const {
   RejectionOutcome outcome;
   outcome.decision_value = svm_.DecisionValue(embedding);
-  // The SVM owns the acceptance rule; comparing against a literal 0 here
-  // would diverge from DistributionTest whenever the configured
-  // decision_threshold is non-zero.
   outcome.distribution_pass = svm_.Accepts(outcome.decision_value);
   const stats::TTestResult t = stats::OneSampleTTestLower(labels, p_);
   outcome.quality_p_value = t.p_value;

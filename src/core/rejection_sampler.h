@@ -12,7 +12,9 @@
 
 namespace chameleon::core {
 
-/// Configuration of the two rejection tests (§3).
+/// Configuration of the two rejection tests (§3). The evaluation budget
+/// N = 5 labels per generated tuple is fixed (kEvaluationsPerTuple in
+/// rejection_sampler.cc).
 struct RejectionSamplerOptions {
   /// Data distribution test (§3.1): OCSVM over embeddings; the paper
   /// evaluates nu = 0.3 with linear and RBF kernels.
@@ -20,8 +22,6 @@ struct RejectionSamplerOptions {
   /// Quality test (§3.2) significance level alpha. 0.1 ~ majority vote,
   /// 0.4 ~ unanimity (Table 4 evaluates both).
   double quality_alpha = 0.1;
-  /// N: the small fixed evaluation budget per generated tuple.
-  int evaluations_per_tuple = 5;
 };
 
 /// Joint outcome of one generated tuple's rejection-sampling round.

@@ -118,7 +118,7 @@ util::Result<fm::Corpus> MakeUtkFaceChallengeSubset(
   for (int64_t c = 0; c < schema.NumCombinations(); ++c) {
     const std::vector<int> values = schema.CombinationFromIndex(c);
     counts.push_back(
-        {values, is_rare(values) ? options.rare_count : options.base_count});
+        {values, is_rare(values) ? kChallengeRareCount : kChallengeBaseCount});
   }
   CHAMELEON_RETURN_NOT_OK(FillCorpus(&corpus, counts, UtkFaceStyleFn(),
                                      UtkFaceScene(), embedder, options.render,

@@ -46,13 +46,13 @@ fm::FaceStyleFn UtkFaceStyleFn();
                                      const UtkFaceOptions& options);
 
 /// The §6.4.1 challenge subset: every one of the 90 combinations gets
-/// `base_count` tuples except 16 designated rare combinations (two per
-/// age group in buckets 1..8, alternating gender/race) which get
-/// `rare_count` — yielding exactly 16 level-3 MUPs at tau = 10.
+/// `kChallengeBaseCount` tuples except 16 designated rare combinations
+/// (two per age group in buckets 1..8, alternating gender/race) which get
+/// `kChallengeRareCount` — yielding exactly 16 level-3 MUPs at tau = 10.
+inline constexpr int kChallengeBaseCount = 12;
+inline constexpr int kChallengeRareCount = 3;
 struct ChallengeOptions {
   RenderSpec render;
-  int base_count = 12;
-  int rare_count = 3;
   uint64_t seed = 11;
 };
 [[nodiscard]] util::Result<fm::Corpus> MakeUtkFaceChallengeSubset(

@@ -3,19 +3,25 @@
 #include <cmath>
 
 namespace chameleon::fm {
+namespace {
 
-EvaluatorPool::EvaluatorPool(const Options& options, uint64_t seed)
-    : options_(options) {
+constexpr int kNumEvaluators = 37;  // the paper's cohort size
+constexpr double kThresholdMean = 0.78;
+constexpr double kThresholdStddev = 0.05;
+constexpr double kSoftness = 0.08;
+
+}  // namespace
+
+EvaluatorPool::EvaluatorPool(uint64_t seed) {
   util::Rng rng(seed);
-  thresholds_.reserve(options.num_evaluators);
-  for (int e = 0; e < options.num_evaluators; ++e) {
-    thresholds_.push_back(
-        rng.NextGaussian(options.threshold_mean, options.threshold_stddev));
+  thresholds_.reserve(kNumEvaluators);
+  for (int e = 0; e < kNumEvaluators; ++e) {
+    thresholds_.push_back(rng.NextGaussian(kThresholdMean, kThresholdStddev));
   }
 }
 
 double EvaluatorPool::LabelProbability(double realism, int evaluator) const {
-  const double z = (realism - thresholds_[evaluator]) / options_.softness;
+  const double z = (realism - thresholds_[evaluator]) / kSoftness;
   return 1.0 / (1.0 + std::exp(-z));
 }
 

@@ -11,20 +11,14 @@ namespace chameleon::fm {
 /// Simulated crowd of human evaluators for the quality test (§3.2). Each
 /// evaluator e has an individual strictness threshold theta_e; shown a
 /// tuple with latent realism r in [0, 1], e labels it "realistic" with
-/// probability sigmoid((r - theta_e) / softness). Real photographs have
-/// realism ~0.92, which yields the paper's measured real-image label
-/// rate p ≈ 0.86.
+/// probability sigmoid((r - theta_e) / kSoftness). The cohort size and
+/// the threshold distribution are fixed in evaluator_pool.cc. Real
+/// photographs have realism ~0.92, which yields the paper's measured
+/// real-image label rate p ≈ 0.86.
 class EvaluatorPool {
  public:
-  struct Options {
-    int num_evaluators = 37;   // the paper's cohort size
-    double threshold_mean = 0.78;
-    double threshold_stddev = 0.05;
-    double softness = 0.08;
-  };
-
-  EvaluatorPool(const Options& options, uint64_t seed);
-  explicit EvaluatorPool(uint64_t seed) : EvaluatorPool(Options(), seed) {}
+  /// Draws the cohort's thresholds from `seed`.
+  explicit EvaluatorPool(uint64_t seed);
 
   int num_evaluators() const { return static_cast<int>(thresholds_.size()); }
 
@@ -42,7 +36,6 @@ class EvaluatorPool {
                                int num_samples, util::Rng* rng) const;
 
  private:
-  Options options_;
   std::vector<double> thresholds_;
 };
 

@@ -1,7 +1,6 @@
 #include "src/fm/resilient_foundation_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -116,24 +115,14 @@ util::Result<GenerationResult> ResilientFoundationModel::Generate(
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (attempt > 1) {
       *rng = checkpoint;
-      // Cap the exponent before exponentiating: a huge attempt budget
-      // must saturate at backoff_max_ms, not overflow. The uncapped
-      // form shifted/compounded by (attempt - 2) directly, which for
-      // attempt budgets in the thousands overflows any integer fast
-      // path (UB) and sends std::pow to inf before the max applies.
+      // Doubling backoff, its exponent capped so that a huge attempt
+      // budget saturates at backoff_max_ms instead of shifting past 63
+      // bits (UB).
       const int exponent = std::min(attempt - 2, 62);
-      double backoff;
-      if (options_.backoff_multiplier == 2.0) {
-        // Exact power-of-two fast path, now safe: exponent <= 62.
-        backoff = options_.backoff_base_ms *
-                  static_cast<double>(uint64_t{1} << exponent);
-      } else {
-        backoff = options_.backoff_base_ms *
-                  std::pow(options_.backoff_multiplier, exponent);
-      }
+      double backoff = options_.backoff_base_ms *
+                       static_cast<double>(uint64_t{1} << exponent);
       backoff = std::min(backoff, options_.backoff_max_ms);
-      backoff *= 1.0 + options_.jitter_fraction *
-                           (2.0 * jitter_rng_.NextDouble() - 1.0);
+      backoff *= 1.0 + kJitterFraction * (2.0 * jitter_rng_.NextDouble() - 1.0);
       AdvanceClock(backoff);
       telemetry_.backoff_ms += backoff;
       ++telemetry_.retries;

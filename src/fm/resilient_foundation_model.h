@@ -27,14 +27,12 @@ struct ResilienceOptions {
   /// Per-query retry budget: total attempts, including the first.
   int max_attempts = 4;
 
-  /// Capped exponential backoff (virtual milliseconds): the k-th retry
-  /// waits min(backoff_max_ms, backoff_base_ms * multiplier^(k-1)),
-  /// scaled by a deterministic jitter in
-  /// [1 - jitter_fraction, 1 + jitter_fraction].
+  /// Capped doubling backoff (virtual milliseconds): the k-th retry
+  /// waits min(backoff_max_ms, backoff_base_ms * 2^(k-1)), scaled by a
+  /// deterministic jitter in [1 - kJitterFraction, 1 + kJitterFraction]
+  /// (ResilientFoundationModel::kJitterFraction).
   double backoff_base_ms = 50.0;
-  double backoff_multiplier = 2.0;
   double backoff_max_ms = 2000.0;
-  double jitter_fraction = 0.25;
 
   /// Virtual cost of one backend attempt, charged to the attached
   /// Deadline and the observability clock.
@@ -65,6 +63,9 @@ struct ResilienceOptions {
 /// wrapped model's own counter sees every retry attempt.
 class ResilientFoundationModel : public FoundationModel {
  public:
+  /// Half-width of the multiplicative backoff jitter.
+  static constexpr double kJitterFraction = 0.25;
+
   ResilientFoundationModel(FoundationModel* wrapped,
                            const ResilienceOptions& options);
 

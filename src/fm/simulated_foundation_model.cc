@@ -10,6 +10,41 @@
 namespace chameleon::fm {
 namespace {
 
+constexpr int kImageSize = 64;
+/// The paper reports $0.016 per DALL·E 2 image.
+constexpr double kQueryCost = 0.016;
+/// Seed for the hidden difficulty table and the prior palettes.
+constexpr uint64_t kSeed = 1234;
+
+/// Realism of an unguided (prompt-only) generation.
+constexpr double kNoGuideRealismMean = 1.01;
+constexpr double kNoGuideRealismStddev = 0.06;
+
+/// Noise on a guided generation's realism.
+constexpr double kRealismNoiseStddev = 0.035;
+
+/// Penalty at maximal mask tightness (accurate outline).
+constexpr double kTightnessPenalty = 0.12;
+
+/// Per-attribute-edit difficulty range [min, max] for the hidden
+/// table; each additional ordinal step adds 20% of the base cost.
+constexpr double kDifficultyMin = 0.02;
+constexpr double kDifficultyMax = 0.10;
+
+/// Background continuation error (per unit of regenerated area
+/// fraction), in 0-255 channel units.
+constexpr double kContextErrorScale = 10.0;
+
+/// Semantic edit incompleteness: guided generations keep a random
+/// residue of the guide subject's appearance (inpainting rarely
+/// commits fully to the prompt). Sampled per query as
+/// |N(0, kEditResidueStddev)|, clamped to [0, 0.5].
+constexpr double kEditResidueStddev = 0.06;
+
+/// How many imagination palettes the unguided model draws from; the
+/// first one matches the data-set scene passed to the constructor.
+constexpr int kNumPriorPalettes = 6;
+
 uint8_t ClampByte(double v) {
   return static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
 }
@@ -84,12 +119,12 @@ SimulatedFoundationModel::SimulatedFoundationModel(
     : schema_(schema),
       face_style_fn_(std::move(face_style_fn)),
       options_(options) {
-  util::Rng rng(options.seed);
+  util::Rng rng(kSeed);
 
   // Imagination palettes: the first matches the data set's scene, the
   // rest are the model's own ideas of a portrait backdrop.
   prior_palettes_.push_back(dataset_scene);
-  for (int i = 1; i < options.num_prior_palettes; ++i) {
+  for (int i = 1; i < kNumPriorPalettes; ++i) {
     image::SceneStyle scene;
     scene.background_top =
         image::Color{ClampByte(rng.NextInt(30, 220)),
@@ -101,7 +136,7 @@ SimulatedFoundationModel::SimulatedFoundationModel(
   }
 
   // Hidden per-(attribute, combination) edit-difficulty table. Arm base
-  // costs are spread evenly over [difficulty_min, difficulty_max] in a
+  // costs are spread evenly over [kDifficultyMin, kDifficultyMax] in a
   // seeded random arm order — the model is systematically better at
   // editing some attributes than others, which is the signal LinUCB
   // exploits; combinations jitter mildly around their arm's base.
@@ -114,9 +149,9 @@ SimulatedFoundationModel::SimulatedFoundationModel(
   const std::vector<size_t> arm_order = rng.Permutation(d);
   difficulty_.resize(d);
   for (int a = 0; a < d; ++a) {
-    const double span = options.difficulty_max - options.difficulty_min;
+    const double span = kDifficultyMax - kDifficultyMin;
     const double base =
-        options.difficulty_min +
+        kDifficultyMin +
         (d > 1 ? span * static_cast<double>(arm_order[a]) / (d - 1)
                : 0.5 * span);
     difficulty_[a].resize(k);
@@ -127,6 +162,8 @@ SimulatedFoundationModel::SimulatedFoundationModel(
     }
   }
 }
+
+double SimulatedFoundationModel::query_cost() const { return kQueryCost; }
 
 double SimulatedFoundationModel::EditDifficulty(
     int attribute, const std::vector<int>& target_values) const {
@@ -163,10 +200,10 @@ util::Result<GenerationResult> SimulatedFoundationModel::Generate(
     // Prompt-only: full render under one of the model's own palettes.
     const image::SceneStyle scene =
         prior_palettes_[rng->NextBounded(prior_palettes_.size())];
-    result.latent_realism = rng->NextGaussian(
-        options_.no_guide_realism_mean, options_.no_guide_realism_stddev);
+    result.latent_realism =
+        rng->NextGaussian(kNoGuideRealismMean, kNoGuideRealismStddev);
     image::RenderOptions render;
-    render.size = options_.image_size;
+    render.size = kImageSize;
     render.artifact_level = std::max(0.0, 0.95 - result.latent_realism);
     result.image = image::RenderFace(style, scene, render, rng);
     return result;
@@ -181,7 +218,7 @@ util::Result<GenerationResult> SimulatedFoundationModel::Generate(
           ? std::clamp(fg_fraction / mask_fraction, 0.0, 1.0)
           : 1.0;
   double realism = options_.guided_base_realism -
-                   options_.tightness_penalty * tightness * tightness;
+                   kTightnessPenalty * tightness * tightness;
 
   for (int a = 0; a < schema_.num_attributes(); ++a) {
     const int guide_value = (*request.guide_values)[a];
@@ -194,32 +231,28 @@ util::Result<GenerationResult> SimulatedFoundationModel::Generate(
     }
     realism -= cost;
   }
-  realism += rng->NextGaussian(0.0, options_.realism_noise_stddev);
+  realism += rng->NextGaussian(0.0, kRealismNoiseStddev);
   result.latent_realism = realism;
 
   // Edit residue: the inpainted subject keeps a random fraction of the
   // guide subject's appearance.
-  if (options_.edit_residue_stddev > 0.0) {
-    const double residue = std::clamp(
-        std::fabs(rng->NextGaussian(0.0, options_.edit_residue_stddev)), 0.0,
-        0.5);
-    const image::FaceStyle guide_style =
-        face_style_fn_(*request.guide_values, rng);
-    auto blend = [&](image::Color a, image::Color b) {
-      return image::Color{
-          ClampByte(a.r + residue * (b.r - a.r)),
-          ClampByte(a.g + residue * (b.g - a.g)),
-          ClampByte(a.b + residue * (b.b - a.b))};
-    };
-    style.skin = blend(style.skin, guide_style.skin);
-    style.hair = blend(style.hair, guide_style.hair);
-  }
+  const double residue = std::clamp(
+      std::fabs(rng->NextGaussian(0.0, kEditResidueStddev)), 0.0, 0.5);
+  const image::FaceStyle guide_style =
+      face_style_fn_(*request.guide_values, rng);
+  auto blend = [&](image::Color a, image::Color b) {
+    return image::Color{ClampByte(a.r + residue * (b.r - a.r)),
+                        ClampByte(a.g + residue * (b.g - a.g)),
+                        ClampByte(a.b + residue * (b.b - a.b))};
+  };
+  style.skin = blend(style.skin, guide_style.skin);
+  style.hair = blend(style.hair, guide_style.hair);
 
   // Image: keep unmasked guide pixels; re-render the masked region with
   // the target's appearance over a background that continues the guide's
   // palette, with error growing in the regenerated area.
   image::SceneStyle scene = EstimateScene(*request.guide);
-  const double bg_error = options_.context_error_scale * mask_fraction;
+  const double bg_error = kContextErrorScale * mask_fraction;
   scene.background_top = PerturbColor(scene.background_top, bg_error, rng);
   scene.background_bottom =
       PerturbColor(scene.background_bottom, bg_error, rng);
@@ -227,7 +260,7 @@ util::Result<GenerationResult> SimulatedFoundationModel::Generate(
   // Only the masked pixels reach the composite, so only they are
   // rendered; the rng ends as a full render leaves it.
   image::RenderOptions render;
-  render.size = options_.image_size;
+  render.size = kImageSize;
   render.artifact_level = std::clamp(1.0 - realism, 0.0, 1.0);
   const image::Image regenerated =
       image::RenderFace(style, scene, render, rng, request.mask);

@@ -39,42 +39,13 @@ using FaceStyleFn =
 /// (generative models often are).
 class SimulatedFoundationModel : public FoundationModel {
  public:
+  /// The simulator's calibration is fixed in simulated_foundation_model.cc
+  /// (image size, query cost, table seed, realism and context terms);
+  /// only the guided base realism is settable, for tests that need the
+  /// artifact and blob renders.
   struct Options {
-    int image_size = 64;
-    /// The paper reports $0.016 per DALL·E 2 image.
-    double query_cost = 0.016;
-    /// Seed for the hidden difficulty table and the prior palettes.
-    uint64_t seed = 1234;
-
-    /// Realism of an unguided (prompt-only) generation.
-    double no_guide_realism_mean = 1.01;
-    double no_guide_realism_stddev = 0.06;
-
     /// Realism of a guided generation before penalties.
     double guided_base_realism = 1.12;
-    double realism_noise_stddev = 0.035;
-
-    /// Penalty at maximal mask tightness (accurate outline).
-    double tightness_penalty = 0.12;
-
-    /// Per-attribute-edit difficulty range [min, max] for the hidden
-    /// table; each additional ordinal step adds 20% of the base cost.
-    double difficulty_min = 0.02;
-    double difficulty_max = 0.10;
-
-    /// Background continuation error (per unit of regenerated area
-    /// fraction), in 0-255 channel units.
-    double context_error_scale = 10.0;
-
-    /// Semantic edit incompleteness: guided generations keep a random
-    /// residue of the guide subject's appearance (inpainting rarely
-    /// commits fully to the prompt). Sampled per query as
-    /// |N(0, edit_residue_stddev)|, clamped to [0, 0.5]; 0 disables.
-    double edit_residue_stddev = 0.06;
-
-    /// How many imagination palettes the unguided model draws from; the
-    /// first one matches the data-set scene passed to the constructor.
-    int num_prior_palettes = 6;
   };
 
   /// Most (attribute, combination) cells the hidden difficulty table may
@@ -103,7 +74,7 @@ class SimulatedFoundationModel : public FoundationModel {
   [[nodiscard]] std::vector<util::Result<GenerationResult>> GenerateBatch(
       std::span<const BatchItem> items) override;
 
-  double query_cost() const override { return options_.query_cost; }
+  double query_cost() const override;
 
   /// Hidden difficulty of editing `attribute` towards `target_values`
   /// (exposed for tests and for verifying LinUCB's learning). Requires a

@@ -8,26 +8,29 @@
 namespace chameleon::iqa {
 namespace {
 
+constexpr int kPatchSize = 16;
+/// Ridge added to covariance diagonals before inversion.
+constexpr double kRegularization = 1e-3;
+
 // Extracts per-patch features from an image: MSCN once, then 18 NSS
-// features per non-overlapping patch.
-std::vector<std::vector<double>> ImagePatchFeatures(const image::Image& image,
-                                                    int patch_size) {
+// features per non-overlapping kPatchSize square.
+std::vector<std::vector<double>> ImagePatchFeatures(const image::Image& image) {
   const image::Image gray =
       image.channels() == 1 ? image : image.ToGrayscale();
   const Field mscn = ComputeMscn(gray);
 
   std::vector<std::vector<double>> features;
-  for (int py = 0; py + patch_size <= mscn.height; py += patch_size) {
-    for (int px = 0; px + patch_size <= mscn.width; px += patch_size) {
+  for (int py = 0; py + kPatchSize <= mscn.height; py += kPatchSize) {
+    for (int px = 0; px + kPatchSize <= mscn.width; px += kPatchSize) {
       std::vector<double> patch;
-      patch.reserve(static_cast<size_t>(patch_size) * patch_size);
-      for (int y = py; y < py + patch_size; ++y) {
-        for (int x = px; x < px + patch_size; ++x) {
+      patch.reserve(static_cast<size_t>(kPatchSize) * kPatchSize);
+      for (int y = py; y < py + kPatchSize; ++y) {
+        for (int x = px; x < px + kPatchSize; ++x) {
           patch.push_back(mscn.at(x, y));
         }
       }
       features.push_back(
-          Niqe::PatchFeatures(patch, patch_size, patch_size));
+          Niqe::PatchFeatures(patch, kPatchSize, kPatchSize));
     }
   }
   return features;
@@ -82,14 +85,13 @@ std::vector<double> Niqe::PatchFeatures(const std::vector<double>& mscn_patch,
   return features;
 }
 
-util::Result<Niqe> Niqe::Train(const std::vector<image::Image>& pristine,
-                               const Options& options) {
+util::Result<Niqe> Niqe::Train(const std::vector<image::Image>& pristine) {
   if (pristine.empty()) {
     return util::Status::InvalidArgument("NIQE needs a pristine corpus");
   }
   std::vector<std::vector<double>> all_features;
   for (const auto& img : pristine) {
-    auto features = ImagePatchFeatures(img, options.patch_size);
+    auto features = ImagePatchFeatures(img);
     all_features.insert(all_features.end(), features.begin(), features.end());
   }
   if (all_features.size() < 4) {
@@ -97,13 +99,12 @@ util::Result<Niqe> Niqe::Train(const std::vector<image::Image>& pristine,
         "pristine corpus yields too few patches; use larger images");
   }
   Niqe model;
-  model.options_ = options;
   FitMvg(all_features, &model.mean_, &model.covariance_);
   return model;
 }
 
 double Niqe::Score(const image::Image& image) const {
-  const auto features = ImagePatchFeatures(image, options_.patch_size);
+  const auto features = ImagePatchFeatures(image);
   if (features.empty()) return 0.0;
   std::vector<double> test_mean;
   linalg::Matrix test_cov;
@@ -115,7 +116,7 @@ double Niqe::Score(const image::Image& image) const {
     for (size_t j = 0; j < dim; ++j) {
       pooled.at(i, j) = 0.5 * (covariance_.at(i, j) + test_cov.at(i, j));
     }
-    pooled.at(i, i) += options_.regularization;
+    pooled.at(i, i) += kRegularization;
   }
   std::vector<double> diff(dim);
   for (size_t i = 0; i < dim; ++i) diff[i] = mean_[i] - test_mean[i];

@@ -15,21 +15,13 @@ namespace chameleon::iqa {
 /// orientations, 18 features) are modeled as a multivariate Gaussian over
 /// a pristine corpus; the score of a test image is the Mahalanobis-style
 /// distance between the pristine MVG and the test image's own patch MVG.
-/// Higher score = less natural.
+/// Higher score = less natural. Patches are 16 px squares, and a fixed
+/// ridge regularizes the pooled covariance (both in niqe.cc).
 class Niqe {
  public:
-  struct Options {
-    int patch_size = 16;
-    /// Ridge added to covariance diagonals before inversion.
-    double regularization = 1e-3;
-  };
-
   /// Fits the pristine model from a corpus of (assumed natural) images.
-  [[nodiscard]] static util::Result<Niqe> Train(const std::vector<image::Image>& pristine,
-                                  const Options& options);
-  [[nodiscard]] static util::Result<Niqe> Train(const std::vector<image::Image>& pristine) {
-    return Train(pristine, Options());
-  }
+  [[nodiscard]] static util::Result<Niqe> Train(
+      const std::vector<image::Image>& pristine);
 
   /// Quality score; higher is worse.
   double Score(const image::Image& image) const;
@@ -46,7 +38,6 @@ class Niqe {
  private:
   Niqe() = default;
 
-  Options options_;
   std::vector<double> mean_;
   linalg::Matrix covariance_;
 };

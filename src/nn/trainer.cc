@@ -5,6 +5,11 @@
 namespace chameleon::nn {
 namespace {
 
+constexpr double kMomentum = 0.9;
+constexpr double kL2 = 1e-4;
+/// Multiplies the learning rate after each epoch.
+constexpr double kLrDecay = 0.99;
+
 /// Shared SGD loop. `output_grad_fn(index, output, grad)` fills the
 /// gradient of the loss w.r.t. the network output for one example and
 /// returns the example's loss.
@@ -61,14 +66,14 @@ util::Result<TrainReport> TrainImpl(Mlp* model, size_t num_examples,
       for (size_t r = 0; r < w.rows(); ++r) {
         for (size_t c = 0; c < w.cols(); ++c) {
           const double g = weight_grad[l].at(r, c) * inv +
-                           options.l2 * w.at(r, c);
-          vw.at(r, c) = options.momentum * vw.at(r, c) - lr * g;
+                           kL2 * w.at(r, c);
+          vw.at(r, c) = kMomentum * vw.at(r, c) - lr * g;
           w.at(r, c) += vw.at(r, c);
         }
       }
       for (size_t i = 0; i < layers[l].bias.size(); ++i) {
         const double g = bias_grad[l][i] * inv;
-        bias_velocity[l][i] = options.momentum * bias_velocity[l][i] - lr * g;
+        bias_velocity[l][i] = kMomentum * bias_velocity[l][i] - lr * g;
         layers[l].bias[i] += bias_velocity[l][i];
       }
     }
@@ -121,7 +126,7 @@ util::Result<TrainReport> TrainImpl(Mlp* model, size_t num_examples,
       }
     }
     report.epoch_losses.push_back(epoch_loss / num_examples);
-    lr *= options.lr_decay;
+    lr *= kLrDecay;
   }
   report.final_loss =
       report.epoch_losses.empty() ? 0.0 : report.epoch_losses.back();

@@ -9,15 +9,12 @@
 
 namespace chameleon::nn {
 
-/// Mini-batch SGD hyper-parameters.
+/// Mini-batch SGD hyper-parameters (momentum, L2 and the per-epoch
+/// learning-rate decay are fixed in trainer.cc).
 struct TrainOptions {
   int epochs = 60;
   int batch_size = 32;
   double learning_rate = 0.05;
-  double momentum = 0.9;
-  double l2 = 1e-4;
-  /// Multiplies the learning rate after each epoch.
-  double lr_decay = 0.99;
 };
 
 /// Per-epoch training diagnostics.

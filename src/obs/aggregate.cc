@@ -6,6 +6,16 @@
 #include <utility>
 
 namespace chameleon::obs {
+namespace {
+
+/// Rolling window spans, on the daemon's virtual-millisecond axis.
+constexpr double kShortWindowMs = 60000.0;   // the "1m" view
+constexpr double kLongWindowMs = 300000.0;   // the "5m" view
+/// Granularity of window bookkeeping: absorbs landing within one
+/// bucket merge eagerly; windows are therefore accurate to one bucket.
+constexpr double kBucketMs = 5000.0;
+
+}  // namespace
 
 void MergeSample(MergedMetrics* into, const MetricSample& sample) {
   auto [it, inserted] = into->try_emplace(sample.name);
@@ -91,8 +101,6 @@ std::vector<MetricSample> MergedToSamples(const MergedMetrics& merged) {
   return samples;
 }
 
-Aggregator::Aggregator(const AggregatorOptions& options) : options_(options) {}
-
 void Aggregator::AbsorbMerged(const MergedMetrics& merged, double at_ms,
                               bool count_request) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -102,16 +110,15 @@ void Aggregator::AbsorbMerged(const MergedMetrics& merged, double at_ms,
   if (!buckets_.empty() && at_ms < buckets_.back().start_ms) {
     at_ms = buckets_.back().start_ms;
   }
-  const double bucket_start =
-      std::floor(at_ms / options_.bucket_ms) * options_.bucket_ms;
+  const double bucket_start = std::floor(at_ms / kBucketMs) * kBucketMs;
   if (buckets_.empty() || buckets_.back().start_ms < bucket_start) {
     buckets_.push_back(Bucket{bucket_start, {}});
   }
   MergeAll(&buckets_.back().metrics, merged);
   // Buckets older than the long window can never be scraped again.
-  const double horizon = at_ms - options_.long_window_ms;
+  const double horizon = at_ms - kLongWindowMs;
   while (!buckets_.empty() &&
-         buckets_.front().start_ms + options_.bucket_ms <= horizon) {
+         buckets_.front().start_ms + kBucketMs <= horizon) {
     buckets_.pop_front();
   }
   if (count_request) ++absorbed_;
@@ -149,12 +156,10 @@ std::vector<MetricSample> Aggregator::Scrape(double now_ms) const {
     total = total_;
     for (const Bucket& bucket : buckets_) {
       // A bucket is in the window if any part of its span is.
-      if (bucket.start_ms + options_.bucket_ms >
-          now_ms - options_.long_window_ms) {
+      if (bucket.start_ms + kBucketMs > now_ms - kLongWindowMs) {
         MergeAll(&long_window, bucket.metrics);
       }
-      if (bucket.start_ms + options_.bucket_ms >
-          now_ms - options_.short_window_ms) {
+      if (bucket.start_ms + kBucketMs > now_ms - kShortWindowMs) {
         MergeAll(&short_window, bucket.metrics);
       }
     }

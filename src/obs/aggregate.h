@@ -45,15 +45,6 @@ void MergeAll(MergedMetrics* into, const MergedMetrics& from);
 /// Histogram p50/p90/p99 are re-derived from the merged digest.
 std::vector<MetricSample> MergedToSamples(const MergedMetrics& merged);
 
-struct AggregatorOptions {
-  /// Rolling window spans, on the daemon's virtual-millisecond axis.
-  double short_window_ms = 60000.0;   // the "1m" view
-  double long_window_ms = 300000.0;   // the "5m" view
-  /// Granularity of window bookkeeping: absorbs landing within one
-  /// bucket merge eagerly; windows are therefore accurate to one bucket.
-  double bucket_ms = 5000.0;
-};
-
 /// Daemon-global rollup of per-request telemetry: each finished request's
 /// registry snapshot is absorbed at a virtual timestamp, and Scrape
 /// renders three views — the lifetime total plus rolling short/long
@@ -70,7 +61,7 @@ struct AggregatorOptions {
 /// Thread-safe; completion-path callers serialize through the mutex.
 class Aggregator {
  public:
-  explicit Aggregator(const AggregatorOptions& options = AggregatorOptions());
+  Aggregator() = default;
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
 
@@ -102,7 +93,6 @@ class Aggregator {
   void AbsorbMerged(const MergedMetrics& merged, double at_ms,
                     bool count_request);
 
-  AggregatorOptions options_;
   mutable std::mutex mutex_;
   MergedMetrics total_ CHAMELEON_GUARDED_BY(mutex_);
   std::deque<Bucket> buckets_ CHAMELEON_GUARDED_BY(mutex_);

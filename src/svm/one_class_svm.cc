@@ -21,6 +21,11 @@ constexpr int64_t kScoreGrain = 32;
 /// Don't bother spinning up workers for Gram matrices this small.
 constexpr size_t kMinParallelGramCells = 1u << 14;
 
+/// SMO stopping tolerance on the maximal KKT violation.
+constexpr double kTolerance = 1e-4;
+/// Hard cap on SMO iterations.
+constexpr int64_t kMaxIterations = 200000;
+
 /// Kernel matrix with optional full materialization: row access is O(1)
 /// when cached, O(n * dim) otherwise.
 class KernelCache {
@@ -101,39 +106,34 @@ util::Result<OneClassSvm> OneClassSvm::Train(
     }
   }
 
-  // Optional per-dimension scale normalization (fitted on the training
-  // set). Scale-only — see the header comment on `standardize`.
+  // Per-dimension scale normalization, fitted on the training set.
+  // Scale-only — see the class comment. The mean is only used to
+  // estimate scales; queries are not centered.
   std::vector<double> feature_mean(dim, 0.0);
-  std::vector<double> feature_scale(dim, 1.0);
-  std::vector<std::vector<double>> standardized;
-  const std::vector<std::vector<double>>* train_points = &points;
-  if (options.standardize) {
-    for (const auto& p : points) {
-      for (size_t k = 0; k < dim; ++k) feature_mean[k] += p[k];
-    }
-    for (double& v : feature_mean) v /= static_cast<double>(n);
-    std::vector<double> variance(dim, 0.0);
-    for (const auto& p : points) {
-      for (size_t k = 0; k < dim; ++k) {
-        const double d = p[k] - feature_mean[k];
-        variance[k] += d * d;
-      }
-    }
+  for (const auto& p : points) {
+    for (size_t k = 0; k < dim; ++k) feature_mean[k] += p[k];
+  }
+  for (double& v : feature_mean) v /= static_cast<double>(n);
+  std::vector<double> variance(dim, 0.0);
+  for (const auto& p : points) {
     for (size_t k = 0; k < dim; ++k) {
-      feature_scale[k] = std::sqrt(variance[k] / static_cast<double>(n));
-      if (feature_scale[k] < 1e-9) feature_scale[k] = 1.0;
+      const double d = p[k] - feature_mean[k];
+      variance[k] += d * d;
     }
-    // The mean is only used to estimate scales; queries are not centered.
-    std::fill(feature_mean.begin(), feature_mean.end(), 0.0);
-    standardized.reserve(n);
-    for (const auto& p : points) {
-      std::vector<double> z(dim);
-      for (size_t k = 0; k < dim; ++k) {
-        z[k] = p[k] / feature_scale[k];
-      }
-      standardized.push_back(std::move(z));
+  }
+  std::vector<double> feature_scale(dim, 1.0);
+  for (size_t k = 0; k < dim; ++k) {
+    feature_scale[k] = std::sqrt(variance[k] / static_cast<double>(n));
+    if (feature_scale[k] < 1e-9) feature_scale[k] = 1.0;
+  }
+  std::vector<std::vector<double>> standardized;
+  standardized.reserve(n);
+  for (const auto& p : points) {
+    std::vector<double> z(dim);
+    for (size_t k = 0; k < dim; ++k) {
+      z[k] = p[k] / feature_scale[k];
     }
-    train_points = &standardized;
+    standardized.push_back(std::move(z));
   }
 
   const double upper = 1.0 / (options.nu * static_cast<double>(n));
@@ -143,7 +143,7 @@ util::Result<OneClassSvm> OneClassSvm::Train(
   if (num_threads > 1 && n * n >= kMinParallelGramCells) {
     pool = std::make_unique<util::ThreadPool>(num_threads);
   }
-  KernelCache cache(*train_points, options.kernel, pool.get());
+  KernelCache cache(standardized, options.kernel, pool.get());
   pool.reset();  // SMO below is inherently sequential.
 
   // LIBSVM initialization: the first floor(nu*n) alphas at the upper
@@ -173,7 +173,7 @@ util::Result<OneClassSvm> OneClassSvm::Train(
   std::vector<double> row_j;
   constexpr double kTau = 1e-12;
 
-  for (stats.iterations = 0; stats.iterations < options.max_iterations;
+  for (stats.iterations = 0; stats.iterations < kMaxIterations;
        ++stats.iterations) {
     // Maximal violating pair: i can grow (alpha_i < C) with minimal
     // gradient, j can shrink (alpha_j > 0) with maximal gradient.
@@ -191,7 +191,7 @@ util::Result<OneClassSvm> OneClassSvm::Train(
         best_j = static_cast<int>(t);
       }
     }
-    if (best_i < 0 || best_j < 0 || max_shrink - min_grow < options.tolerance) {
+    if (best_i < 0 || best_j < 0 || max_shrink - min_grow < kTolerance) {
       break;  // KKT satisfied.
     }
 
@@ -245,13 +245,10 @@ util::Result<OneClassSvm> OneClassSvm::Train(
   OneClassSvm model;
   model.kernel_ = options.kernel;
   model.rho_ = rho;
-  model.decision_threshold_ = options.decision_threshold;
-  model.standardize_ = options.standardize;
-  model.feature_mean_ = std::move(feature_mean);
   model.feature_scale_ = std::move(feature_scale);
   for (size_t t = 0; t < n; ++t) {
     if (alpha[t] > kTau) {
-      model.support_vectors_.push_back((*train_points)[t]);
+      model.support_vectors_.push_back(standardized[t]);
       model.alphas_.push_back(alpha[t]);
       ++stats.num_support_vectors;
       if (alpha[t] < upper - kTau) ++stats.num_margin_support_vectors;
@@ -266,13 +263,13 @@ std::vector<double> OneClassSvm::Standardized(
     const std::vector<double>& x) const {
   std::vector<double> z(x.size());
   for (size_t k = 0; k < x.size(); ++k) {
-    z[k] = (x[k] - feature_mean_[k]) / feature_scale_[k];
+    z[k] = x[k] / feature_scale_[k];
   }
   return z;
 }
 
 double OneClassSvm::DecisionValue(const std::vector<double>& x) const {
-  const std::vector<double>& query = standardize_ ? Standardized(x) : x;
+  const std::vector<double> query = Standardized(x);
   double sum = 0.0;
   for (size_t s = 0; s < support_vectors_.size(); ++s) {
     sum += alphas_[s] * kernel_.Evaluate(support_vectors_[s], query);

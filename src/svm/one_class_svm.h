@@ -16,23 +16,6 @@ struct OneClassSvmOptions {
   /// fraction. The paper evaluates ν = 0.3.
   double nu = 0.3;
   Kernel kernel = Kernel::Rbf();
-  /// SMO stopping tolerance on the maximal KKT violation.
-  double tolerance = 1e-4;
-  /// Hard cap on SMO iterations.
-  int64_t max_iterations = 200000;
-  /// Divide each input dimension by its training standard deviation
-  /// before kernel evaluation (recommended for embeddings of
-  /// heterogeneous scale). Scale-only on purpose: the one-class SVM
-  /// separates data from the origin, so mean-centering would make the
-  /// linear kernel degenerate; RBF kernels are translation-invariant and
-  /// unaffected by the missing centering.
-  bool standardize = true;
-  /// Acceptance rule: a point is in-distribution when
-  /// f(x) >= decision_threshold. 0 is the classic boundary; positive
-  /// values tighten the data distribution test, negative values loosen
-  /// it. Every consumer must gate through Accepts() rather than
-  /// hard-coding the threshold.
-  double decision_threshold = 0.0;
   /// Worker count for Gram-matrix construction in Train: 0 = hardware
   /// concurrency (the default), 1 = serial. Every Gram entry is computed
   /// independently, so the trained model is bit-identical at every
@@ -54,6 +37,13 @@ struct OneClassSvmStats {
 /// by sequential minimal optimization with maximal-violating-pair working
 /// set selection (LIBSVM-style). Decision f(x) = sum_i alpha_i k(x_i, x) - rho;
 /// a point is in-distribution when f(x) >= 0.
+///
+/// Each input dimension is divided by its training standard deviation
+/// before kernel evaluation (embeddings have heterogeneous scale).
+/// Scale-only on purpose: the one-class SVM separates data from the
+/// origin, so mean-centering would make the linear kernel degenerate; RBF
+/// kernels are translation-invariant and unaffected by the missing
+/// centering.
 class OneClassSvm {
  public:
   /// Trains on the given embeddings (>= 2 rows of equal length).
@@ -72,18 +62,14 @@ class OneClassSvm {
       const std::vector<std::vector<double>>& points,
       int num_threads = 1) const;
 
-  /// The data distribution test: true iff f(x) >= decision_threshold.
+  /// The data distribution test: true iff f(x) >= 0.
   bool Accepts(const std::vector<double>& x) const;
 
   /// The same acceptance rule applied to an already-computed decision
-  /// value — the single authority consumers must route through instead
-  /// of comparing against a hard-coded 0.
-  bool Accepts(double decision_value) const {
-    return decision_value >= decision_threshold_;
-  }
+  /// value.
+  bool Accepts(double decision_value) const { return decision_value >= 0.0; }
 
   double rho() const { return rho_; }
-  double decision_threshold() const { return decision_threshold_; }
   const OneClassSvmStats& stats() const { return stats_; }
   const Kernel& kernel() const { return kernel_; }
   int num_support_vectors() const {
@@ -97,12 +83,9 @@ class OneClassSvm {
 
   Kernel kernel_;
   double rho_ = 0.0;
-  double decision_threshold_ = 0.0;
   std::vector<std::vector<double>> support_vectors_;  // standardized space
   std::vector<double> alphas_;
   OneClassSvmStats stats_;
-  bool standardize_ = false;
-  std::vector<double> feature_mean_;
   std::vector<double> feature_scale_;
 };
 

@@ -133,7 +133,7 @@ TEST_F(ChameleonFeretTest, QueryCapStopsTheLoop) {
 
 TEST_F(ChameleonFeretTest, HugeTauSaturatesTheAttemptCap) {
   // tau near INT64_MAX makes the root's gap (tau - n) the plan count, and
-  // max_attempts_per_tuple × that count overflows int64: the attempt cap
+  // the per-entry attempt cap × that count overflows int64: the attempt cap
   // saturates instead, and the query cap still ends the run.
   ChameleonOptions options;
   options.tau = int64_t{1} << 62;

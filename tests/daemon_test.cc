@@ -438,11 +438,16 @@ TEST(DaemonTest, OutOfRangeNumberFieldsRefusedWithTheirId) {
   server.Start();
   // A negative attempt cost would run the request's deadline backwards, a
   // quoted deadline would fall back to none, and a rate above 1 is no
-  // probability: each is refused, naming its request.
+  // probability. A quoted tau would fall back to tau 100, a fractional
+  // batch would truncate and a numeric dataset would fall back to micro:
+  // each is refused, naming its request.
   const std::pair<std::string, std::string> frames[] = {
       {"cost", R"("resilience":{"attempt_cost_ms":-10})"},
       {"late", R"("deadline_ms":"50")"},
       {"rate", R"("faults":{"transient_rate":1.5})"},
+      {"tau", R"("tau":"5")"},
+      {"batch", R"("rejection_batch":2.5)"},
+      {"kind", R"("dataset":5)"},
   };
   for (const auto& [id, field] : frames) {
     SCOPED_TRACE(field);
@@ -457,7 +462,7 @@ TEST(DaemonTest, OutOfRangeNumberFieldsRefusedWithTheirId) {
     EXPECT_EQ(refused.StringOr("code", ""), "InvalidArgument");
   }
   server.Finish();
-  EXPECT_EQ(server.daemon().stats().protocol_errors, 3);
+  EXPECT_EQ(server.daemon().stats().protocol_errors, 6);
   EXPECT_EQ(server.daemon().stats().completed, 0);
 }
 
@@ -522,6 +527,40 @@ TEST(ProtocolTest, OutOfRangeIntegerFieldsRejectedNotNarrowed) {
     EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
   }
 
+  // A wire value of the wrong type, or a fraction, is refused naming its
+  // field rather than falling back to the default ("tau":"5" would run at
+  // tau 100) or truncating (2.5 would read as 2).
+  for (const std::string value :
+       {"\"5\"", "\"8\"", "2.5", "-0.5", "true", "null", "[1]", "{}"}) {
+    for (const std::string field :
+         {"tau", "seed", "max_queries", "rejection_batch", "num_threads"}) {
+      SCOPED_TRACE(field + "=" + value);
+      auto parsed = ParseRequestFrame("{\"type\":\"repair\",\"id\":\"r\",\"" +
+                                      field + "\":" + value + "}");
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find(field), std::string::npos);
+    }
+    for (const std::string object : {"faults", "resilience"}) {
+      const std::vector<std::string> fields =
+          object == "faults"
+              ? std::vector<std::string>{"seed", "fail_from_query",
+                                         "outage_start", "outage_length"}
+              : std::vector<std::string>{"seed", "max_attempts",
+                                         "breaker_failure_threshold",
+                                         "breaker_probe_interval"};
+      for (const std::string& field : fields) {
+        SCOPED_TRACE(object + "." + field + "=" + value);
+        auto parsed = ParseRequestFrame(
+            "{\"type\":\"repair\",\"id\":\"r\",\"" + object + "\":{\"" +
+            field + "\":" + value + "}}");
+        ASSERT_FALSE(parsed.ok());
+        EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+        EXPECT_NE(parsed.status().message().find(field), std::string::npos);
+      }
+    }
+  }
+
   // In-range values still parse as given; a negative seed keeps its bits.
   auto wide = ParseRequestFrame(
       "{\"type\":\"repair\",\"id\":\"r\",\"tau\":1e15,\"seed\":-1,"
@@ -563,7 +602,13 @@ TEST(ProtocolTest, NumberFieldsMustBeFiniteAndInRange) {
                                                  "[1]"};
   const std::vector<std::string> bad_rate = {"1.5", "-0.1", "1e400",
                                              "\"0.5\"", "false"};
+  // String fields: a number or another type is refused, not read as the
+  // default ("dataset":5 would run a micro request).
+  const std::vector<std::string> bad_string = {"5", "7", "true", "null",
+                                               "[\"feret\"]"};
   const Case cases[] = {
+      {"", "dataset", bad_string, "\"feret\""},
+      {"", "client", bad_string, "\"c1\""},
       {"", "deadline_ms", bad_duration, "50"},
       {"resilience", "backoff_base_ms", bad_duration, "0"},
       {"resilience", "backoff_max_ms", bad_duration, "2000"},

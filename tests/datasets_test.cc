@@ -183,7 +183,7 @@ TEST(UtkFaceTest, ChallengeSubsetYieldsExactlyTheDesignedMups) {
   const auto rare = ChallengeRarePatterns();
   for (const auto& m : mups) {
     EXPECT_EQ(m.Level(), 3);
-    EXPECT_EQ(m.count, options.rare_count);
+    EXPECT_EQ(m.count, kChallengeRareCount);
     bool designed = false;
     for (const auto& p : rare) designed |= p == m.pattern;
     EXPECT_TRUE(designed) << m.pattern.ToString();

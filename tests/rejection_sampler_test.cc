@@ -17,12 +17,11 @@ std::vector<std::vector<double>> MakeCloud(int n, double mean, double stddev,
 
 class RejectionSamplerTest : public ::testing::Test {
  protected:
-  RejectionSamplerTest() : evaluators_(fm::EvaluatorPool::Options(), 42) {}
+  RejectionSamplerTest() : evaluators_(42) {}
 
   util::Result<RejectionSampler> MakeSampler(double alpha = 0.1) {
     RejectionSamplerOptions options;
     options.quality_alpha = alpha;
-    options.evaluations_per_tuple = 5;
     options.svm.nu = 0.3;
     return RejectionSampler::Train(MakeCloud(300, 0.0, 1.0, 1), &evaluators_,
                                    0.86, options);
@@ -119,30 +118,11 @@ TEST_F(RejectionSamplerTest, EvaluateCombinesBothTests) {
   EXPECT_LT(quality_passes, 10);
 }
 
-TEST_F(RejectionSamplerTest, EvaluateAgreesWithDistributionTestUnderNonZeroThreshold) {
-  // Regression: Evaluate used to hard-code `decision_value >= 0.0` while
-  // DistributionTest delegated to OneClassSvm::Accepts, so the two
-  // disagreed whenever the SVM's acceptance rule was anything but a zero
-  // threshold. Both must route through the SVM.
-  RejectionSamplerOptions options;
-  options.svm.nu = 0.3;
-  options.svm.decision_threshold = 1.0;  // stricter than any f(x)
-  auto sampler = RejectionSampler::Train(MakeCloud(300, 0.0, 1.0, 1),
-                                         &evaluators_, 0.86, options);
+TEST_F(RejectionSamplerTest, EvaluateAgreesWithDistributionTest) {
+  // Evaluate and DistributionTest both gate through OneClassSvm::Accepts.
+  auto sampler = MakeSampler();
   ASSERT_TRUE(sampler.ok());
-
   util::Rng rng(77);
-  const std::vector<double> centroid(8, 0.0);
-  // The centroid scores f >= 0 but below the 1.0 threshold: the old
-  // duplicated logic reported distribution_pass = true here.
-  const RejectionOutcome outcome = sampler->Evaluate(centroid, 1.0, &rng);
-  EXPECT_GE(outcome.decision_value, 0.0);
-  EXPECT_LT(outcome.decision_value, 1.0);
-  EXPECT_FALSE(outcome.distribution_pass);
-  EXPECT_EQ(outcome.distribution_pass, sampler->DistributionTest(centroid));
-  EXPECT_FALSE(outcome.Passed());
-
-  // Property: the two code paths agree on arbitrary embeddings.
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<double> e(8);
     for (double& v : e) v = rng.NextGaussian(0.0, 3.0);

@@ -150,8 +150,9 @@ TEST(ResilientModelTest, BackoffExponentIsCappedAtHugeAttemptBudgets) {
   ASSERT_TRUE(std::isfinite(t.backoff_ms));
   // Every retry's delay saturates at backoff_max_ms, scaled by at most
   // the full upward jitter.
-  EXPECT_LE(t.backoff_ms, 4999.0 * options.backoff_max_ms *
-                              (1.0 + options.jitter_fraction));
+  EXPECT_LE(t.backoff_ms,
+            4999.0 * options.backoff_max_ms *
+                (1.0 + ResilientFoundationModel::kJitterFraction));
 }
 
 TEST(ResilientModelTest, ExhaustedBudgetSurfacesLastFailure) {

@@ -111,7 +111,6 @@ TEST(OneClassSvmTest, StandardizationHandlesScaleMismatch) {
   }
   OneClassSvmOptions options;
   options.nu = 0.2;
-  options.standardize = true;
   options.kernel = Kernel::Rbf(0.05);
   auto model = OneClassSvm::Train(points, options);
   ASSERT_TRUE(model.ok());
@@ -204,30 +203,6 @@ TEST(OneClassSvmTest, BatchScoringMatchesPointwise) {
           << "threads=" << threads << " i=" << i;
     }
   }
-}
-
-TEST(OneClassSvmTest, DecisionThresholdGatesAcceptance) {
-  const auto points = GaussianCloud(200, 4, 0.0, 1.0, 23);
-  OneClassSvmOptions options;
-  options.nu = 0.3;
-  options.decision_threshold = 1.0;  // stricter than any decision value
-  auto strict = OneClassSvm::Train(points, options);
-  ASSERT_TRUE(strict.ok());
-  EXPECT_EQ(strict->decision_threshold(), 1.0);
-  options.decision_threshold = 0.0;
-  auto classic = OneClassSvm::Train(points, options);
-  ASSERT_TRUE(classic.ok());
-
-  // Scores are threshold-independent; only the acceptance rule moves.
-  int classic_accepts = 0;
-  for (const auto& p : points) {
-    EXPECT_EQ(strict->DecisionValue(p), classic->DecisionValue(p));
-    EXPECT_EQ(strict->Accepts(p),
-              strict->Accepts(strict->DecisionValue(p)));
-    classic_accepts += classic->Accepts(p);
-    EXPECT_FALSE(strict->Accepts(p));
-  }
-  EXPECT_GT(classic_accepts, 0);
 }
 
 }  // namespace

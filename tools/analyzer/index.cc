@@ -236,11 +236,16 @@ std::vector<size_t> ComputeBraceMatch(const std::vector<Token>& tokens) {
 
 namespace {
 
+/// Lines suppressed for these rules drop the nondet source (a vetted
+/// NOLINT on the leaf also clears transitive taint).
+constexpr const char* kNondetSuppressionRules[] = {
+    "chameleon-determinism", "chameleon-determinism-taint"};
+
 /// Scans one function body for lock acquisitions, call sites (with the
 /// lexically held mutex set), and direct nondeterminism sources.
 void ScanBody(const std::vector<Token>& toks,
               const std::vector<size_t>& brace_match, const LexResult& lex,
-              const IndexOptions& options, FunctionInfo* fn) {
+              FunctionInfo* fn) {
   const size_t begin = fn->body_begin;
   const size_t end = fn->body_end;
   std::vector<size_t> open_braces = {begin};
@@ -255,7 +260,7 @@ void ScanBody(const std::vector<Token>& toks,
     return held;
   };
   auto nondet_suppressed = [&](int line) {
-    for (const std::string& rule : options.nondet_suppression_rules) {
+    for (const char* rule : kNondetSuppressionRules) {
       if (IsSuppressed(lex, line, rule)) return true;
     }
     return false;
@@ -451,7 +456,7 @@ FileIndex BuildFileIndex(const std::string& path, const LexResult& lex,
     fn.sanctioned = sanctioned;
     fn.body_begin = body;
     fn.body_end = brace_match[body];
-    ScanBody(toks, brace_match, lex, options, &fn);
+    ScanBody(toks, brace_match, lex, &fn);
     out.functions.push_back(std::move(fn));
     i = body;  // resume after the signature; nested defs cannot start here
   }

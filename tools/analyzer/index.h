@@ -134,10 +134,6 @@ struct FileIndex {
 /// origins and calls to them do not propagate taint.
 struct IndexOptions {
   std::vector<std::string> determinism_allowlist;
-  /// Lines suppressed for these rules drop the nondet source (a vetted
-  /// NOLINT on the leaf also clears transitive taint).
-  std::vector<std::string> nondet_suppression_rules = {
-      "chameleon-determinism", "chameleon-determinism-taint"};
 };
 
 FileIndex BuildFileIndex(const std::string& path, const LexResult& lex,

@@ -29,32 +29,44 @@ std::string Quoted(const std::string& text) {
 }
 
 /// Reads the optional integer field `key` into `*out`, which keeps its
-/// value when the field is absent or not a number. A number outside
-/// int's range is rejected instead of narrowed: a cast would turn
-/// 4294967297 into 1.
-util::Status ReadIntField(const obsctl::JsonValue& json, const std::string& key,
-                          int* out) {
+/// value when the field is absent. A value that is not a number, not a
+/// whole number, or outside [min, max] (by default Int's range) is
+/// rejected rather than replaced by the default, truncated or narrowed
+/// (a cast would turn 2.5 into 2 and 4294967297 into 1).
+template <typename Int>
+util::Status ReadIntegerField(const obsctl::JsonValue& json,
+                              const std::string& key, Int* out,
+                              int64_t min = std::numeric_limits<Int>::min(),
+                              int64_t max = std::numeric_limits<Int>::max()) {
   const obsctl::JsonValue* value = json.Find(key);
-  if (value == nullptr || !value->is_number()) return util::Status::Ok();
-  const double number = value->number_value;
-  if (!(number >= std::numeric_limits<int>::min() &&
-        number <= std::numeric_limits<int>::max())) {
-    return util::Status::InvalidArgument(key + " is out of range");
+  if (value == nullptr) return util::Status::Ok();
+  bool ok = value->is_number() && obsctl::FitsInt64(value->number_value) &&
+            value->number_value == std::trunc(value->number_value);
+  int64_t number = 0;
+  if (ok) {
+    number = static_cast<int64_t>(value->number_value);
+    ok = number >= min && number <= max;
   }
-  *out = static_cast<int>(number);
+  if (!ok) {
+    return util::Status::InvalidArgument(key + " must be an integer in [" +
+                                         std::to_string(min) + ", " +
+                                         std::to_string(max) + "]");
+  }
+  *out = static_cast<Int>(number);
   return util::Status::Ok();
 }
 
-/// ReadIntField for int64 fields: a non-finite number or one outside
-/// int64's range is rejected, where a cast would be undefined.
-util::Status ReadInt64Field(const obsctl::JsonValue& json,
-                            const std::string& key, int64_t* out) {
+/// Reads the optional string field `key` into `*out`, which keeps its
+/// value when the field is absent. A value that is not a string is
+/// rejected rather than replaced by the default.
+util::Status ReadStringField(const obsctl::JsonValue& json,
+                             const std::string& key, std::string* out) {
   const obsctl::JsonValue* value = json.Find(key);
-  if (value == nullptr || !value->is_number()) return util::Status::Ok();
-  if (!obsctl::FitsInt64(value->number_value)) {
-    return util::Status::InvalidArgument(key + " is out of range");
+  if (value == nullptr) return util::Status::Ok();
+  if (!value->is_string()) {
+    return util::Status::InvalidArgument(key + " must be a string");
   }
-  *out = static_cast<int64_t>(value->number_value);
+  *out = value->string_value;
   return util::Status::Ok();
 }
 
@@ -96,7 +108,7 @@ util::Status ReadRateField(const obsctl::JsonValue& json,
 /// A seed is an int64 on the wire, reinterpreted as the uint64 it seeds.
 util::Status ReadSeedField(const obsctl::JsonValue& json, uint64_t* out) {
   int64_t seed = static_cast<int64_t>(*out);
-  CHAMELEON_RETURN_NOT_OK(ReadInt64Field(json, "seed", &seed));
+  CHAMELEON_RETURN_NOT_OK(ReadIntegerField(json, "seed", &seed));
   *out = static_cast<uint64_t>(seed);
   return util::Status::Ok();
 }
@@ -210,9 +222,10 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
     return util::Status::InvalidArgument("repair frame requires an id");
   }
   frame.id = spec.id;
-  spec.client = json->StringOr("client", spec.client);
+  CHAMELEON_RETURN_NOT_OK(ReadStringField(*json, "client", &spec.client));
 
-  const std::string dataset = json->StringOr("dataset", "micro");
+  std::string dataset = "micro";
+  CHAMELEON_RETURN_NOT_OK(ReadStringField(*json, "dataset", &dataset));
   if (dataset == "micro") {
     spec.dataset = DatasetKind::kMicro;
   } else if (dataset == "feret") {
@@ -224,33 +237,17 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
                                          "' (expected micro|feret|utkface)");
   }
 
-  CHAMELEON_RETURN_NOT_OK(ReadInt64Field(*json, "tau", &spec.tau));
+  CHAMELEON_RETURN_NOT_OK(ReadIntegerField(*json, "tau", &spec.tau, 1));
   CHAMELEON_RETURN_NOT_OK(ReadSeedField(*json, &spec.seed));
   CHAMELEON_RETURN_NOT_OK(
-      ReadInt64Field(*json, "max_queries", &spec.max_queries));
-  CHAMELEON_RETURN_NOT_OK(
-      ReadIntField(*json, "rejection_batch", &spec.rejection_batch));
-  CHAMELEON_RETURN_NOT_OK(
-      ReadIntField(*json, "num_threads", &spec.num_threads));
+      ReadIntegerField(*json, "max_queries", &spec.max_queries, 1));
+  CHAMELEON_RETURN_NOT_OK(ReadIntegerField(
+      *json, "rejection_batch", &spec.rejection_batch, 1, kMaxRejectionBatch));
+  CHAMELEON_RETURN_NOT_OK(ReadIntegerField(
+      *json, "num_threads", &spec.num_threads, 0, kMaxRequestThreads));
   CHAMELEON_RETURN_NOT_OK(
       ReadNonNegativeField(*json, "deadline_ms", &spec.deadline_ms));
   spec.incremental = json->BoolOr("incremental", spec.incremental);
-  if (spec.tau <= 0) {
-    return util::Status::InvalidArgument("tau must be positive");
-  }
-  if (spec.max_queries <= 0) {
-    return util::Status::InvalidArgument("max_queries must be positive");
-  }
-  if (spec.rejection_batch < 1 || spec.rejection_batch > kMaxRejectionBatch) {
-    return util::Status::InvalidArgument(
-        "rejection_batch must be in [1, " + std::to_string(kMaxRejectionBatch) +
-        "]");
-  }
-  if (spec.num_threads < 0 || spec.num_threads > kMaxRequestThreads) {
-    return util::Status::InvalidArgument(
-        "num_threads must be in [0, " + std::to_string(kMaxRequestThreads) +
-        "]");
-  }
 
   if (const obsctl::JsonValue* faults = json->Find("faults")) {
     if (!faults->is_object()) {
@@ -268,11 +265,11 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
     CHAMELEON_RETURN_NOT_OK(
         ReadRateField(*faults, "malformed_rate", &f.malformed_rate));
     CHAMELEON_RETURN_NOT_OK(
-        ReadInt64Field(*faults, "fail_from_query", &f.fail_from_query));
+        ReadIntegerField(*faults, "fail_from_query", &f.fail_from_query));
     CHAMELEON_RETURN_NOT_OK(
-        ReadInt64Field(*faults, "outage_start", &f.outage_start));
+        ReadIntegerField(*faults, "outage_start", &f.outage_start));
     CHAMELEON_RETURN_NOT_OK(
-        ReadInt64Field(*faults, "outage_length", &f.outage_length));
+        ReadIntegerField(*faults, "outage_length", &f.outage_length));
   }
 
   if (const obsctl::JsonValue* res = json->Find("resilience")) {
@@ -282,16 +279,16 @@ util::Result<ParsedFrame> ParseRequestFrame(const std::string& payload) {
     fm::ResilienceOptions& r = spec.resilience;
     CHAMELEON_RETURN_NOT_OK(ReadSeedField(*res, &r.seed));
     CHAMELEON_RETURN_NOT_OK(
-        ReadIntField(*res, "max_attempts", &r.max_attempts));
+        ReadIntegerField(*res, "max_attempts", &r.max_attempts));
     CHAMELEON_RETURN_NOT_OK(
         ReadNonNegativeField(*res, "backoff_base_ms", &r.backoff_base_ms));
     CHAMELEON_RETURN_NOT_OK(
         ReadNonNegativeField(*res, "backoff_max_ms", &r.backoff_max_ms));
     CHAMELEON_RETURN_NOT_OK(
         ReadNonNegativeField(*res, "attempt_cost_ms", &r.attempt_cost_ms));
-    CHAMELEON_RETURN_NOT_OK(ReadIntField(*res, "breaker_failure_threshold",
+    CHAMELEON_RETURN_NOT_OK(ReadIntegerField(*res, "breaker_failure_threshold",
                                          &r.breaker_failure_threshold));
-    CHAMELEON_RETURN_NOT_OK(ReadIntField(*res, "breaker_probe_interval",
+    CHAMELEON_RETURN_NOT_OK(ReadIntegerField(*res, "breaker_probe_interval",
                                          &r.breaker_probe_interval));
   }
 
